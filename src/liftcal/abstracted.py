@@ -1,17 +1,10 @@
 """The abstracted analysis and its data-flow equation system.
 
-The abstracted engine has the same shape as the lifted one but runs on stores
-indexed by abstract configurations, whose entries are no longer total
-valuations.  A `#if (theta)` therefore splits three ways per component k:
-
-    k entails theta          -> analyzed
-    k entails !theta         -> unchanged
-    both k&theta, k&!theta   -> old joined with analyzed
-        satisfiable
-
-The components carry their meaning formulas over the original feature space
-(a joined component means the disjunction of everything it confounds), and
-the case split is decided on those meanings.
+The abstracted analysis is the engine of `lifted` run on stores indexed by
+the components of an abstraction (the meaning view of alpha_apply /
+meaning_configs).  A component's cover is the set of original valid
+configurations it confounds, and a `#if` splits on covers three ways per
+component (see `lifted`): untouched, analyzed, or old joined with analyzed.
 
 The same transfer functions can be phrased as data-flow equations over
 per-label in/out stores; solve_dataflow computes their least solution with a
@@ -25,97 +18,22 @@ from dataclasses import dataclass
 
 from . import featexp, lang
 from .errors import SemanticError
-from .featexp import Not
 from .lattice import LiftedStore, Store
-from .lifted import eval_expr, kleene_accumulate
-
-_ANALYZED, _UNTOUCHED, _MIXED = 0, 1, 2
+from .lifted import UNTOUCHED, analyze, eval_expr, ifdef_cases, merge_ifdef
 
 
-def _literal_vals(configs):
-    # per-component valuation dicts for components whose meaning is a plain
-    # literal conjunction (None elsewhere), computed once per config set
-    cached = getattr(configs, "_literal_vals", None)
-    if cached is None:
-        cached = tuple(featexp.literal_valuation(phi) for phi in configs.formulas)
-        object.__setattr__(configs, "_literal_vals", cached)
-    return cached
-
-
-def _ifdef_cases(configs, theta):
-    """Per-component case of a #if with condition theta.
-
-    The !theta entailment is checked first: on a satisfiable meaning the two
-    entailments are mutually exclusive, and an unsatisfiable meaning (a join
-    that confounded nothing) then counts as untouched, matching what its
-    never-satisfied rewritten guard does.
-    """
-    if configs.valuations is not None:
-        assignments = configs.assignments()
-        return [
-            _ANALYZED if featexp.eval_featexp(theta, assignments[i]) else _UNTOUCHED
-            for i in range(len(configs))
-        ]
-    theta_names = featexp.features_of(theta)
-    cases = []
-    for meaning, vals in zip(configs.formulas, _literal_vals(configs)):
-        if vals is not None and all(name in vals for name in theta_names):
-            cases.append(
-                _ANALYZED if featexp.eval_featexp(theta, vals) else _UNTOUCHED
-            )
-        elif featexp.entails(meaning, Not(theta)):
-            cases.append(_UNTOUCHED)
-        elif featexp.entails(meaning, theta):
-            cases.append(_ANALYZED)
-        else:
-            cases.append(_MIXED)
-    return cases
-
-
-def analyze_expr_abstracted(expr, store, alpha=None, configs=None):
+def analyze_expr_abstracted(expr, store):
     """Per-component expression values over an abstracted store."""
     return tuple(eval_expr(expr, s) for s in store.stores)
 
 
-def analyze_abstracted(stmt, store, alpha=None, configs=None):
+def analyze_abstracted(stmt, store):
     """The abstracted analysis of a statement on an abstract-indexed store.
 
     `store.configs` must already be the abstract configuration set (the
-    meaning view produced by alpha_apply / abstract_configs).
+    meaning view produced by alpha_apply / meaning_configs).
     """
-    return _abstracted(stmt, store)
-
-
-def _abstracted(stmt, store):
-    if isinstance(stmt, lang.Skip):
-        return store
-    if isinstance(stmt, lang.Assign):
-        return store.with_stores(
-            s.set(stmt.var, eval_expr(stmt.expr, s)) for s in store.stores
-        )
-    if isinstance(stmt, lang.Seq):
-        return _abstracted(stmt.second, _abstracted(stmt.first, store))
-    if isinstance(stmt, lang.If):
-        return _abstracted(stmt.then, store).join(_abstracted(stmt.orelse, store))
-    if isinstance(stmt, lang.Lub):
-        return _abstracted(stmt.left, store).join(_abstracted(stmt.right, store))
-    if isinstance(stmt, lang.While):
-        return kleene_accumulate(lambda s: _abstracted(stmt.body, s), store)
-    if isinstance(stmt, lang.IfDef):
-        cases = _ifdef_cases(store.configs, stmt.cond)
-        if all(c == _UNTOUCHED for c in cases):
-            return store
-        analyzed = _abstracted(stmt.body, store)
-        out = []
-        for i, case in enumerate(cases):
-            if case == _ANALYZED:
-                out.append(analyzed.stores[i])
-            elif case == _UNTOUCHED:
-                out.append(store.stores[i])
-            else:
-                out.append(store.stores[i].join(analyzed.stores[i]))
-        return store.with_stores(out)
-    raise TypeError(f"not a statement: {stmt!r}")
+    return analyze(stmt, store)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +82,8 @@ def solve_dataflow(system, entry):
         for kid in lang.children(stmt):
             parents[kid.label] = stmt
 
-    ifdef_cases = {
-        label: _ifdef_cases(configs, stmt.cond)
+    ifdef_cases_by_label = {
+        label: ifdef_cases(configs, stmt.cond)
         for label, stmt in system.statements.items()
         if isinstance(stmt, lang.IfDef)
     }
@@ -183,10 +101,10 @@ def solve_dataflow(system, entry):
         if isinstance(parent, lang.While):
             return ins[parent.label].join(outs[stmt.label])
         if isinstance(parent, lang.IfDef):
-            cases = ifdef_cases[parent.label]
+            cases = ifdef_cases_by_label[parent.label]
             src = ins[parent.label]
             guarded = [
-                src.stores[i] if case != _UNTOUCHED else Store.bot(lattice)
+                src.stores[i] if case != UNTOUCHED else Store.bot(lattice)
                 for i, case in enumerate(cases)
             ]
             return src.with_stores(guarded)
@@ -208,18 +126,9 @@ def solve_dataflow(system, entry):
         if isinstance(stmt, lang.While):
             return ins[stmt.body.label]
         if isinstance(stmt, lang.IfDef):
-            cases = ifdef_cases[stmt.label]
-            src = ins[stmt.label]
-            body_out = outs[stmt.body.label]
-            merged = []
-            for i, case in enumerate(cases):
-                if case == _ANALYZED:
-                    merged.append(body_out.stores[i])
-                elif case == _UNTOUCHED:
-                    merged.append(src.stores[i])
-                else:
-                    merged.append(src.stores[i].join(body_out.stores[i]))
-            return src.with_stores(merged)
+            return merge_ifdef(
+                ifdef_cases_by_label[stmt.label], ins[stmt.label], outs[stmt.body.label]
+            )
         raise TypeError(f"not a statement: {stmt!r}")
 
     # label dependencies: recompute a statement when its in, a child's out,

@@ -10,13 +10,18 @@ An abstraction shrinks the configuration dimension of a lifted store:
     fignore(A)      merge configurations differing only on feature A
     fproj(A,...)    ignore a whole set of features
 
-Application tracks two views of each abstract configuration: a *named* view
-over the abstract feature space, where every join introduced a fresh feature
-Z naming the confounded disjunction, and a *meaning* view over the original
-feature space.  Named configurations are always total valuations of the
-abstract space, so the parallel-composition overlap test is exact; meanings
-are what the abstracted analysis tests #if conditions against.  Lifted stores
-produced here are indexed by the meaning view.
+Application computes the abstract configuration set only, in two views.  The
+*named* view is over the abstract feature space, where every join introduced
+a fresh feature Z naming the confounded disjunction; named configurations
+are always total valuations of the abstract space, so the
+parallel-composition overlap test is exact.  The *meaning* view gives each
+component its cover, the set of original valid configurations it stands for,
+together with a formula over the original feature space that renders it.
+Lifted stores produced here are indexed by the meaning view.
+
+Every abstraction is a join over such covers, so alpha gives each component
+the join of the stores its cover holds, and gamma gives each configuration
+the meet of the components that cover it (top where none does).
 """
 
 from __future__ import annotations
@@ -33,12 +38,9 @@ from .featexp import (
     FeatureSpace,
     Not,
     TRUE,
+    bit_indices,
     conj_all,
     disj_all,
-    eliminate,
-    entails,
-    equiv,
-    eval_featexp,
 )
 from .lattice import CONST, LiftedStore, Store
 from .lexer import Cursor, tokenize
@@ -111,15 +113,20 @@ def fresh_feature(used):
 
 
 class NameAllocator:
-    """Deterministic supply of fresh feature names for one application."""
+    """Deterministic supply of fresh feature names for one application.
+
+    Yields the names fresh_feature would, each call continuing from the last.
+    """
 
     def __init__(self, used):
-        self.used = set(used)
+        self.used = frozenset(used)
+        self.next = 1
 
     def fresh(self):
-        name = fresh_feature(self.used)
-        self.used.add(name)
-        return name
+        while f"Z{self.next}" in self.used:
+            self.next += 1
+        self.next += 1
+        return f"Z{self.next - 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +137,14 @@ class NameAllocator:
 class ConfigState:
     """Both views of an abstract configuration set, threaded through application."""
 
-    original_space: FeatureSpace
+    universe: featexp.Universe  # the original valid configurations
     space: FeatureSpace
     named_vals: tuple[dict, ...]  # total valuations over `space`, one per component
-    meanings: tuple[featexp.FeatExp, ...]  # formulas over original_space
-    meaning_vals: tuple[dict, ...] | None  # kept while meanings are still valuations
+    meanings: tuple[featexp.FeatExp, ...]  # formulas over the original space
+    covers: tuple[int, ...]  # masks over `universe`, one per component
+    concrete: bool  # each component is still one original configuration
     named_hint: featexp.FeatExp | None  # compact formula over `space` for disj(named)
-    meaning_hint: featexp.FeatExp | None  # compact formula over original_space
+    meaning_hint: featexp.FeatExp | None  # compact formula over the original space
     renames: tuple[tuple[str, featexp.FeatExp], ...]
 
     def named_formulas(self):
@@ -155,13 +163,13 @@ def initial_state(space, configs):
     """Bookkeeping for an unabstracted, concrete configuration set."""
     if configs.valuations is None:
         raise SemanticError("abstractions apply to concrete configuration sets")
-    vals = tuple(v.as_dict() for v in configs.valuations)
     return ConfigState(
-        original_space=space,
+        universe=configs.universe,
         space=space,
-        named_vals=vals,
+        named_vals=tuple(v.as_dict() for v in configs.valuations),
         meanings=configs.formulas,
-        meaning_vals=vals,
+        covers=configs.covers,
+        concrete=True,
         named_hint=configs.hint,
         meaning_hint=configs.hint,
         renames=(),
@@ -169,12 +177,9 @@ def initial_state(space, configs):
 
 
 def _select(state, phi):
-    """Indices of components whose meaning satisfies phi."""
-    if state.meaning_vals is not None:
-        return [
-            i for i, vals in enumerate(state.meaning_vals) if eval_featexp(phi, vals)
-        ]
-    return [i for i, m in enumerate(state.meanings) if entails(m, phi)]
+    """Indices of components whose every configuration satisfies phi."""
+    rest = state.universe.full & ~state.universe.mask(phi)
+    return [i for i, cover in enumerate(state.covers) if not cover & rest]
 
 
 def _join_meaning(state, indices):
@@ -183,43 +188,22 @@ def _join_meaning(state, indices):
     return disj_all(state.meanings[i] for i in indices)
 
 
-def _fold_join(stores, lattice):
-    out = Store.bot(lattice)
-    for s in stores:
-        out = out.join(s)
-    return out
-
-
 def _groups_by_elimination(state, features):
-    """Partition component indices by equivalence after eliminating `features`."""
-    if state.meaning_vals is not None:
-        keep = [f for f in state.original_space.features if f not in features]
-        buckets = {}
-        order = []
-        for i, vals in enumerate(state.meaning_vals):
-            key = tuple(vals[f] for f in keep)
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(i)
-        return [buckets[key] for key in order]
-    keys = []
-    for m in state.meanings:
-        k = m
-        for f in features:
-            k = eliminate(k, f)
-        keys.append(k)
-    groups = []
-    reps = []
-    for i, k in enumerate(keys):
-        for gi, rep in enumerate(reps):
-            if equiv(rep, k):
-                groups[gi].append(i)
-                break
-        else:
-            reps.append(k)
-            groups.append([i])
-    return groups
+    """Partition component indices by equal covers once `features` are dropped.
+
+    Two meanings are equivalent after eliminating the features exactly when
+    their configurations agree on the remaining features.
+    """
+    universe = state.universe
+    keep = [k for k, f in enumerate(universe.space.features) if f not in features]
+    groups = {}
+    for i, cover in enumerate(state.covers):
+        key = frozenset(
+            tuple(universe.valuations[b].values[k] for k in keep)
+            for b in bit_indices(cover)
+        )
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def _extend_vals(vals, space):
@@ -243,6 +227,7 @@ def _product_merge(left, right, base_renames):
     right_ext = [_extend_vals(v, space) for v in right.named_vals]
     named_vals = list(left_ext)
     meanings = list(left.meanings)
+    covers = list(left.covers)
     right_map = []
     for j, vals in enumerate(right_ext):
         for i, existing in enumerate(left_ext):
@@ -253,6 +238,7 @@ def _product_merge(left, right, base_renames):
             right_map.append(len(named_vals))
             named_vals.append(vals)
             meanings.append(right.meanings[j])
+            covers.append(right.covers[j])
 
     def ext_hint(side):
         if side.named_hint is None:
@@ -262,25 +248,17 @@ def _product_merge(left, right, base_renames):
 
     lh, rh = ext_hint(left), ext_hint(right)
     named_hint = featexp.Or(lh, rh) if lh is not None and rh is not None else None
-    if left.meaning_vals is not None and right.meaning_vals is not None:
-        meaning_vals = list(left.meaning_vals)
-        for j, pos in enumerate(right_map):
-            if pos >= len(left_ext):
-                meaning_vals.append(right.meaning_vals[j])
-        meaning_vals = tuple(meaning_vals)
-        if left.meaning_hint is not None and right.meaning_hint is not None:
-            meaning_hint = featexp.Or(left.meaning_hint, right.meaning_hint)
-        else:
-            meaning_hint = None
-    else:
-        meaning_vals = None
-        meaning_hint = None
+    concrete = left.concrete and right.concrete
+    meaning_hint = None
+    if concrete and left.meaning_hint is not None and right.meaning_hint is not None:
+        meaning_hint = featexp.Or(left.meaning_hint, right.meaning_hint)
     merged = ConfigState(
-        original_space=left.original_space,
+        universe=left.universe,
         space=space,
         named_vals=tuple(named_vals),
         meanings=tuple(meanings),
-        meaning_vals=meaning_vals,
+        covers=tuple(covers),
+        concrete=concrete,
         named_hint=named_hint,
         meaning_hint=meaning_hint,
         renames=left.renames + right.renames[len(base_renames):],
@@ -289,60 +267,44 @@ def _product_merge(left, right, base_renames):
 
 
 # ---------------------------------------------------------------------------
-# Application (alpha direction)
+# Application
 
 
-def _apply(alpha, state, stores, alloc, lattice):
-    """Apply alpha to a config state and, when given, the aligned stores."""
+def _apply(alpha, state, alloc):
+    """The configuration state alpha makes of `state`."""
     if isinstance(alpha, Join):
-        return _apply_group(list(range(len(state))), None, state, stores, alloc, lattice)
+        return _apply_group(range(len(state)), None, state, alloc)
     if isinstance(alpha, JoinPhi):
-        indices = _select(state, alpha.phi) if alpha.phi != TRUE else list(range(len(state)))
-        return _apply_group(indices, alpha.phi, state, stores, alloc, lattice)
+        indices = _select(state, alpha.phi) if alpha.phi != TRUE else range(len(state))
+        return _apply_group(indices, alpha.phi, state, alloc)
     if isinstance(alpha, GroupJoin):
-        return _apply_group(list(alpha.indices), None, state, stores, alloc, lattice)
+        return _apply_group(alpha.indices, None, state, alloc)
     if isinstance(alpha, Proj):
         indices = _select(state, alpha.phi)
-        concrete = state.meaning_vals is not None
-        new_state = ConfigState(
-            original_space=state.original_space,
+        return ConfigState(
+            universe=state.universe,
             space=state.space,
             named_vals=tuple(state.named_vals[i] for i in indices),
             meanings=tuple(state.meanings[i] for i in indices),
-            meaning_vals=tuple(state.meaning_vals[i] for i in indices)
-            if concrete
-            else None,
-            named_hint=_conj_hint(state.named_hint, alpha.phi, concrete),
-            meaning_hint=_conj_hint(state.meaning_hint, alpha.phi, concrete),
+            covers=tuple(state.covers[i] for i in indices),
+            concrete=state.concrete,
+            named_hint=_conj_hint(state.named_hint, alpha.phi, state.concrete),
+            meaning_hint=_conj_hint(state.meaning_hint, alpha.phi, state.concrete),
             renames=state.renames,
         )
-        new_stores = (
-            None if stores is None else tuple(stores[i] for i in indices)
-        )
-        return new_state, new_stores
     if isinstance(alpha, Compose):
-        mid_state, mid_stores = _apply(alpha.inner, state, stores, alloc, lattice)
-        return _apply(alpha.outer, mid_state, mid_stores, alloc, lattice)
+        return _apply(alpha.outer, _apply(alpha.inner, state, alloc), alloc)
     if isinstance(alpha, Product):
-        left_state, left_stores = _apply(alpha.left, state, stores, alloc, lattice)
-        right_state, right_stores = _apply(alpha.right, state, stores, alloc, lattice)
-        merged, right_map = _product_merge(left_state, right_state, state.renames)
-        if stores is None:
-            return merged, None
-        out = list(left_stores) + [None] * (len(merged) - len(left_stores))
-        for j, pos in enumerate(right_map):
-            if out[pos] is None:
-                out[pos] = right_stores[j]
-            else:
-                out[pos] = out[pos].join(right_stores[j])
-        return merged, tuple(out)
+        left = _apply(alpha.left, state, alloc)
+        right = _apply(alpha.right, state, alloc)
+        return _product_merge(left, right, state.renames)[0]
     if isinstance(alpha, FIgnore):
         expansion = _fignore_fold(state, alpha.feature)
         if expansion is None:
-            return _empty_state(state), (None if stores is None else ())
-        return _apply(expansion, state, stores, alloc, lattice)
+            return _empty_state(state)
+        return _apply(expansion, state, alloc)
     if isinstance(alpha, FProj):
-        return _apply(_fproj_chain(alpha), state, stores, alloc, lattice)
+        return _apply(_fproj_chain(alpha), state, alloc)
     raise TypeError(f"not an abstraction: {alpha!r}")
 
 
@@ -356,7 +318,7 @@ def _fproj_chain(alpha):
 
 def _fignore_fold(state, feature):
     """The product of exact group joins that realizes ignoring one feature."""
-    if feature not in state.original_space:
+    if feature not in state.universe.space:
         raise SemanticError(f"cannot ignore undeclared feature {feature}")
     groups = _groups_by_elimination(state, (feature,))
     if not groups:
@@ -371,11 +333,12 @@ def _empty_state(state):
     # ignoring features of nothing: no components, but the feature space
     # stays so that guards already rewritten over it remain evaluable
     return ConfigState(
-        original_space=state.original_space,
+        universe=state.universe,
         space=state.space,
         named_vals=(),
         meanings=(),
-        meaning_vals=None,
+        covers=(),
+        concrete=False,
         named_hint=FALSE,
         meaning_hint=FALSE,
         renames=state.renames,
@@ -390,7 +353,7 @@ def _conj_hint(hint, phi, concrete):
     return And(hint, phi)
 
 
-def _apply_group(indices, phi, state, stores, alloc, lattice):
+def _apply_group(indices, phi, state, alloc):
     """Confound the selected components into one fresh-named component.
 
     phi, when given, is the selection formula (used only to keep the recorded
@@ -398,76 +361,24 @@ def _apply_group(indices, phi, state, stores, alloc, lattice):
     the selected components either way.
     """
     name = alloc.fresh()
-    space = FeatureSpace((name,))
-    if phi is not None and state.meaning_vals is not None and state.meaning_hint is not None:
+    if phi is not None and state.concrete and state.meaning_hint is not None:
         meaning = state.meaning_hint if phi == TRUE else And(state.meaning_hint, phi)
     else:
         meaning = _join_meaning(state, indices) if indices else FALSE
-    new_state = ConfigState(
-        original_space=state.original_space,
-        space=space,
+    cover = 0
+    for i in indices:
+        cover |= state.covers[i]
+    return ConfigState(
+        universe=state.universe,
+        space=FeatureSpace((name,)),
         named_vals=({name: True},),
         meanings=(meaning,),
-        meaning_vals=None,
+        covers=(cover,),
+        concrete=False,
         named_hint=Atom(name),
         meaning_hint=meaning,
         renames=state.renames + ((name, meaning),),
     )
-    if stores is None:
-        return new_state, None
-    joined = _fold_join((stores[i] for i in indices), lattice)
-    return new_state, (joined,)
-
-
-# ---------------------------------------------------------------------------
-# Application (gamma direction)
-
-
-def _gamma(alpha, state, d_stores, alloc, lattice):
-    """Concretize stores indexed by alpha(state) back to state's indexing."""
-    if isinstance(alpha, (Join, JoinPhi, GroupJoin)):
-        if isinstance(alpha, Join):
-            indices = set(range(len(state)))
-        elif isinstance(alpha, JoinPhi):
-            indices = (
-                set(range(len(state)))
-                if alpha.phi == TRUE
-                else set(_select(state, alpha.phi))
-            )
-        else:
-            indices = set(alpha.indices)
-        (single,) = d_stores
-        return tuple(
-            single if i in indices else Store.top(lattice) for i in range(len(state))
-        )
-    if isinstance(alpha, Proj):
-        indices = _select(state, alpha.phi)
-        it = iter(d_stores)
-        out = [Store.top(lattice)] * len(state)
-        for i in indices:
-            out[i] = next(it)
-        return tuple(out)
-    if isinstance(alpha, Compose):
-        mid_state, _ = _apply(alpha.inner, state, None, alloc, lattice)
-        mid = _gamma(alpha.outer, mid_state, d_stores, NameAllocator(alloc.used), lattice)
-        return _gamma(alpha.inner, state, mid, alloc, lattice)
-    if isinstance(alpha, Product):
-        left_state, _ = _apply(alpha.left, state, None, alloc, lattice)
-        right_state, _ = _apply(alpha.right, state, None, alloc, lattice)
-        _, right_map = _product_merge(left_state, right_state, state.renames)
-        d_left = tuple(d_stores[i] for i in range(len(left_state)))
-        d_right = tuple(d_stores[pos] for pos in right_map)
-        g_left = _gamma(alpha.left, state, d_left, NameAllocator(alloc.used), lattice)
-        g_right = _gamma(alpha.right, state, d_right, NameAllocator(alloc.used), lattice)
-        return tuple(a.meet(b) for a, b in zip(g_left, g_right))
-    if isinstance(alpha, FIgnore):
-        expansion = _fignore_fold(state, alpha.feature)
-        if expansion is None:
-            return ()
-        return _gamma(expansion, state, d_stores, alloc, lattice)
-    if isinstance(alpha, FProj):
-        return _gamma(_fproj_chain(alpha), state, d_stores, alloc, lattice)
-    raise TypeError(f"not an abstraction: {alpha!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,48 +395,39 @@ class AbstractedConfigs:
     renames: dict  # fresh feature name -> meaning formula
 
 
-def _allocator(space, configs):
-    return NameAllocator(set(space.features))
+def _abstract_state(alpha, configs):
+    state = initial_state(configs.space, configs)
+    return _apply(alpha, state, NameAllocator(configs.space.features))
 
 
-def _finish_state(state):
-    vals = tuple(
+def abstract_configs(alpha, space, configs):
+    """The abstract feature space and configuration set induced by alpha."""
+    state = _abstract_state(alpha, configs)
+    valuations = tuple(
         featexp.Config(state.space, tuple(v[f] for f in state.space.features))
         for v in state.named_vals
     )
-    named = ConfigSet(
-        state.space, state.named_formulas(), vals, hint=state.named_hint
-    )
     return AbstractedConfigs(
         space=state.space,
-        configs=named,
+        configs=featexp.concrete_configs(state.space, valuations, state.named_hint),
         meanings=state.meanings,
         renames=dict(state.renames),
     )
 
 
-def abstract_configs(alpha, space, configs):
-    """The abstract feature space and configuration set induced by alpha."""
-    state = initial_state(space, configs)
-    out_state, _ = _apply(alpha, state, None, _allocator(space, configs), CONST)
-    return _finish_state(out_state)
-
-
-def _meaning_configset(space, state):
+def _meaning_configset(state):
+    universe = state.universe
     valuations = None
-    if state.meaning_vals is not None:
-        valuations = tuple(
-            featexp.Config(space, tuple(v[f] for f in space.features))
-            for v in state.meaning_vals
-        )
-    return ConfigSet(space, state.meanings, valuations, hint=state.meaning_hint)
+    if state.concrete:
+        valuations = tuple(universe.valuations[c.bit_length() - 1] for c in state.covers)
+    return ConfigSet(
+        universe.space, state.meanings, state.covers, universe, valuations, state.meaning_hint
+    )
 
 
 def meaning_configs(alpha, space, configs):
     """The meaning view of alpha's output, as a ConfigSet over the original space."""
-    state = initial_state(space, configs)
-    out_state, _ = _apply(alpha, state, None, _allocator(space, configs), CONST)
-    return _meaning_configset(space, out_state)
+    return _meaning_configset(_abstract_state(alpha, configs))
 
 
 def _infer_lattice(store, lattice):
@@ -536,29 +438,54 @@ def _infer_lattice(store, lattice):
     return CONST
 
 
+def _stores_by_bit(store):
+    # concrete configurations cover one universe bit each
+    return {c.bit_length() - 1: s for c, s in zip(store.configs.covers, store.stores)}
+
+
 def alpha_apply(alpha, configs, store, lattice=None):
-    """Abstract a lifted store; the result is indexed by the meaning view."""
+    """Abstract a lifted store; the result is indexed by the meaning view.
+
+    Each component is the join of the stores of the configurations it covers.
+    """
     if not store.configs.same_as(configs):
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
-    state = initial_state(configs.space, configs)
-    out_state, out_stores = _apply(
-        alpha, state, store.stores, _allocator(configs.space, configs), lattice
-    )
-    return LiftedStore(_meaning_configset(configs.space, out_state), out_stores)
+    state = _abstract_state(alpha, configs)
+    at = _stores_by_bit(store)
+    out = []
+    for cover in state.covers:
+        bits = bit_indices(cover)
+        if len(bits) == 1:
+            out.append(at[bits[0]])
+            continue
+        joined = Store.bot(lattice)
+        for b in bits:
+            joined = joined.join(at[b])
+        out.append(joined)
+    return LiftedStore(_meaning_configset(state), tuple(out))
 
 
 def gamma_apply(alpha, configs, store, lattice=None):
-    """Concretize an abstract lifted store back over the full configuration set."""
+    """Concretize an abstract lifted store back over the full configuration set.
+
+    Each configuration gets the meet of the components covering it, or top
+    when none does.
+    """
     lattice = _infer_lattice(store, lattice)
-    state = initial_state(configs.space, configs)
-    expected, _ = _apply(alpha, state, None, _allocator(configs.space, configs), lattice)
-    if len(store) != len(expected):
+    state = _abstract_state(alpha, configs)
+    if len(store) != len(state):
         raise SemanticError(
-            f"abstract store has {len(store)} components, expected {len(expected)}"
+            f"abstract store has {len(store)} components, expected {len(state)}"
         )
-    out = _gamma(alpha, state, store.stores, _allocator(configs.space, configs), lattice)
-    return LiftedStore(configs, out)
+    met = {}
+    for cover, d in zip(state.covers, store.stores):
+        for b in bit_indices(cover):
+            met[b] = met[b].meet(d) if b in met else d
+    top = Store.top(lattice)
+    return LiftedStore(
+        configs, tuple(met.get(c.bit_length() - 1, top) for c in configs.covers)
+    )
 
 
 def fignore_expand(feature, configs):
@@ -571,16 +498,12 @@ def fignore_expand(feature, configs):
     groups = _groups_by_elimination(state, (feature,))
     if not groups:
         raise SemanticError("cannot expand fignore over an empty configuration set")
-    parts = [JoinPhi(_join_meaning_plain(state, g)) for g in groups]
+    # expansion formulas stay literal disjunctions so they are readable in specs
+    parts = [JoinPhi(disj_all(state.meanings[i] for i in g)) for g in groups]
     out = parts[0]
     for part in parts[1:]:
         out = Product(out, part)
     return out
-
-
-def _join_meaning_plain(state, indices):
-    # expansion formulas stay literal disjunctions so they are readable in specs
-    return disj_all(state.meanings[i] for i in indices)
 
 
 # ---------------------------------------------------------------------------

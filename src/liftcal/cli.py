@@ -252,7 +252,6 @@ def build_parser():
 
     bench = sub.add_parser("bench", help="time lifted vs abstracted on a synthetic family")
     bench.add_argument("--features", type=int, required=True)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--lattice", choices=("const", "constplus"), default="const")
     bench.set_defaults(func=cmd_bench)
 

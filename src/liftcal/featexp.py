@@ -1,14 +1,20 @@
 """Feature names, propositional feature expressions, valuations, and configuration sets.
 
-Satisfiability and entailment are decided by brute-force enumeration of
-valuations over the features that actually occur in a query.  This is exact,
-dependency-free, and doubles as the oracle for the property tests; it is
-capped at MAX_ENUM_FEATURES features per query.
+A configuration set is decided on by its *covers*: each member is an `int`
+mask over the valid configurations of a feature model (its universe), bit i
+standing for the i-th valid configuration.  A formula becomes a mask by bit
+algebra over per-feature masks, which valid_configs builds once, so the
+analyses and abstractions never query a solver.
+
+Satisfiability and entailment of free-standing formulas are decided by
+brute-force enumeration of valuations over the features that actually occur
+in a query.  This is exact, dependency-free, and doubles as the oracle for
+the property tests; it is capped at MAX_ENUM_FEATURES features per query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
 from .errors import ParseError, SemanticError, UndeclaredFeature
@@ -189,19 +195,52 @@ def substitute(phi, name, replacement):
     return phi
 
 
-def substitute_map(phi, table):
-    """Simultaneous substitution of several feature names."""
+def mask_of(phi, feature_mask, full):
+    """The configurations satisfying phi, as a bit mask.
+
+    feature_mask(name) is the mask of the configurations that enable a
+    feature and full the mask of all of them; connectives are bit operations.
+    """
     if isinstance(phi, Atom):
-        return table.get(phi.name, phi)
+        return feature_mask(phi.name)
     if isinstance(phi, Not):
-        return Not(substitute_map(phi.arg, table))
+        return full & ~mask_of(phi.arg, feature_mask, full)
     if isinstance(phi, And):
-        return And(substitute_map(phi.left, table), substitute_map(phi.right, table))
+        return mask_of(phi.left, feature_mask, full) & mask_of(phi.right, feature_mask, full)
     if isinstance(phi, Or):
-        return Or(substitute_map(phi.left, table), substitute_map(phi.right, table))
+        return mask_of(phi.left, feature_mask, full) | mask_of(phi.right, feature_mask, full)
     if isinstance(phi, Implies):
-        return Implies(substitute_map(phi.left, table), substitute_map(phi.right, table))
-    return phi
+        left = mask_of(phi.left, feature_mask, full)
+        return (full & ~left) | mask_of(phi.right, feature_mask, full)
+    if isinstance(phi, TrueExp):
+        return full
+    if isinstance(phi, FalseExp):
+        return 0
+    raise TypeError(f"not a feature expression: {phi!r}")
+
+
+def mask_from_bits(bits):
+    """The mask with bit i set iff bits[i] is true, built in linear time."""
+    return int("".join(["1" if bit else "0" for bit in reversed(bits)]) or "0", 2)
+
+
+def valuations_mask(phi, valuations):
+    """Bit i set iff valuations[i] (a mapping from name to bool) satisfies phi."""
+    masks = {}
+
+    def feature_mask(name):
+        if name not in masks:
+            masks[name] = mask_from_bits([vals[name] for vals in valuations])
+        return masks[name]
+
+    return mask_of(phi, feature_mask, (1 << len(valuations)) - 1)
+
+
+def bit_indices(mask):
+    """Positions of the set bits of a mask, ascending, in time linear in its size."""
+    if not mask & (mask - 1):
+        return (mask.bit_length() - 1,) if mask else ()
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def render(phi, compact=False):
@@ -270,20 +309,6 @@ def _forced_literals(phi, forced):
     if isinstance(phi, FalseExp):
         return False
     return True
-
-
-def literal_valuation(phi):
-    """The unique satisfying valuation of a satisfiable literal conjunction.
-
-    None when phi is not such a conjunction (or contradicts itself); callers
-    fall back to the general entailment path.
-    """
-    forced = {}
-    if not _forced_literals(phi, forced):
-        return None
-    if all(name in forced for name in features_of(phi)) and eval_featexp(phi, forced):
-        return forced
-    return None
 
 
 def sat(phi, space=None):
@@ -361,28 +386,54 @@ class Config:
         return conj_all(literals)
 
 
+class Universe:
+    """The valid configurations of a feature model, bit i standing for the i-th.
+
+    Masks over a universe are the covers of every configuration set derived
+    from it.  The per-feature masks are built once, here.
+    """
+
+    __slots__ = ("space", "valuations", "full", "_feature_masks")
+
+    def __init__(self, space, valuations):
+        self.space = space
+        self.valuations = valuations
+        self.full = (1 << len(valuations)) - 1
+        self._feature_masks = {
+            name: mask_from_bits([v.values[k] for v in valuations])
+            for k, name in enumerate(space.features)
+        }
+
+    def feature_mask(self, name):
+        try:
+            return self._feature_masks[name]
+        except KeyError:
+            raise UndeclaredFeature(name) from None
+
+    def mask(self, phi):
+        """The configurations of the universe that satisfy phi."""
+        return mask_of(phi, self.feature_mask, self.full)
+
+
 @dataclass(frozen=True)
 class ConfigSet:
-    """An ordered set of configuration formulas over a feature space.
+    """An ordered set of configurations over a feature space.
 
-    Concrete sets (from a feature model) carry their valuations so membership
-    tests are plain evaluations.  `hint`, when present, is a compact formula
-    equivalent to the disjunction of all members; valid_configs sets it to the
-    feature model itself so later joins never materialize huge disjunctions.
+    Each member has a cover: the mask of the universe's configurations it
+    stands for, which is all that the analyses and abstractions decide on.
+    The formulas only render members.  Concrete sets (from a feature model)
+    carry their valuations and cover one configuration each.  `hint`, when
+    present, is a compact formula equivalent to the disjunction of all
+    members; valid_configs sets it to the feature model itself so later joins
+    never materialize huge disjunctions.
     """
 
     space: FeatureSpace
     formulas: tuple[FeatExp, ...]
+    covers: tuple[int, ...] = field(compare=False)
+    universe: Universe = field(compare=False)
     valuations: tuple[Config, ...] | None = None
     hint: FeatExp | None = None
-
-    def assignments(self):
-        """Valuation dicts for a concrete set, computed once."""
-        cached = getattr(self, "_assignments", None)
-        if cached is None:
-            cached = tuple(v.as_dict() for v in self.valuations)
-            object.__setattr__(self, "_assignments", cached)
-        return cached
 
     def __len__(self):
         return len(self.formulas)
@@ -394,10 +445,9 @@ class ConfigSet:
     def is_concrete(self):
         return self.valuations is not None
 
-    def disjunction(self):
-        if self.hint is not None:
-            return self.hint
-        return disj_all(self.formulas)
+    def mask(self, phi):
+        """The configurations of the universe that satisfy phi."""
+        return self.universe.mask(phi)
 
     def index_of(self, phi):
         """Position of the member equivalent to phi; structural match tried first."""
@@ -417,6 +467,18 @@ class ConfigSet:
             and len(self) == len(other)
             and all(a == b for a, b in zip(self.formulas, other.formulas))
         )
+
+
+def concrete_configs(space, valuations, hint=None):
+    """The configuration set of explicit valuations, each its own universe bit."""
+    return ConfigSet(
+        space,
+        tuple(v.formula() for v in valuations),
+        tuple(1 << i for i in range(len(valuations))),
+        Universe(space, valuations),
+        valuations,
+        hint,
+    )
 
 
 @dataclass(frozen=True)
@@ -485,7 +547,6 @@ def valid_configs(fm):
     """
     names = fm.space.features
     configs = []
-    formulas = []
     budget = [_ENUM_BUDGET]
 
     def spend():
@@ -495,9 +556,7 @@ def valid_configs(fm):
 
     def emit(bits):
         spend()
-        config = Config(fm.space, tuple(bits))
-        configs.append(config)
-        formulas.append(config.formula())
+        configs.append(Config(fm.space, tuple(bits)))
 
     def walk(i, bits, partial):
         spend()
@@ -515,18 +574,7 @@ def valid_configs(fm):
             del partial[name]
 
     walk(0, [], {})
-    return ConfigSet(fm.space, tuple(formulas), tuple(configs), hint=fm.psi)
-
-
-def config_satisfies(configs, index, phi):
-    """Does the index-th member of a ConfigSet entail phi?
-
-    Uses the attached valuation when the set is concrete, otherwise decides
-    entailment of the member formula.
-    """
-    if configs.valuations is not None:
-        return eval_featexp(phi, configs.assignments()[index])
-    return entails(configs.formulas[index], phi)
+    return concrete_configs(fm.space, tuple(configs), hint=fm.psi)
 
 
 def eliminate(phi, name):

@@ -1,10 +1,10 @@
-"""The lifted constant-propagation analysis and its single-program degenerate.
+"""The analysis engine over configuration-indexed stores, and its single-program degenerate.
 
-The lifted engine transforms a tuple of stores, one per valid configuration,
-analyzing every variant simultaneously.  An `if` (and the derived lub form)
-joins both branches and ignores the condition; a `#if (theta)` updates exactly
-the components whose configuration entails theta; a `while` accumulates the
-iterates of its body:
+One engine transforms a tuple of stores, one per component of a configuration
+set, analyzing every component simultaneously.  The lifted analysis runs it
+on the valid configurations, the abstracted analysis on the components an
+abstraction produces.  An `if` (and the derived lub form) joins both branches
+and ignores the condition; a `while` accumulates the iterates of its body:
 
     result = input |_| body(input) |_| body(body(input)) |_| ...
 
@@ -12,13 +12,26 @@ realized as: cur := input; acc := input; repeat { cur := body(cur);
 acc := acc join cur } until acc is stable.  This computes the compositional
 fixpoint definition itself, which the reconfiguration commutation property
 requires; folding the join into cur instead can over-approximate it.
+
+A `#if (theta)` splits three ways per component, comparing the component's
+cover with the mask t of the configurations satisfying theta:
+
+    cover & t == 0       -> untouched
+    cover & ~t == 0      -> analyzed
+    otherwise            -> old joined with analyzed (mixed)
+
+A valid configuration covers one bit, so the lifted analysis never meets the
+mixed case.  An empty cover (a join that confounded nothing) counts as
+untouched, matching what its never-satisfied rewritten guard does.
 """
 
 from __future__ import annotations
 
-from . import featexp, lang
+from . import lang
 from .errors import SemanticError
-from .lattice import LiftedStore, Store, intval
+from .lattice import LiftedStore, intval
+
+ANALYZED, UNTOUCHED, MIXED = 0, 1, 2
 
 
 def kleene_accumulate(step, start):
@@ -43,6 +56,24 @@ def eval_expr(expr, store):
     if isinstance(expr, lang.BinOp):
         return lat.binop(expr.op, eval_expr(expr.left, store), eval_expr(expr.right, store))
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def ifdef_cases(configs, theta):
+    """Per-component case of a `#if (theta)` over a configuration set."""
+    t = configs.mask(theta)
+    rest = configs.universe.full & ~t
+    return [
+        UNTOUCHED if not cover & t else ANALYZED if not cover & rest else MIXED
+        for cover in configs.covers
+    ]
+
+
+def merge_ifdef(cases, before, after):
+    """The store after a `#if`: per case, analyzed, untouched or both joined."""
+    return before.with_stores(
+        new if case == ANALYZED else old if case == UNTOUCHED else old.join(new)
+        for case, old, new in zip(cases, before.stores, after.stores)
+    )
 
 
 def analyze_expr_lifted(expr, store, configs=None):
@@ -71,14 +102,8 @@ def analyze_single(stmt, store):
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def analyze_lifted(stmt, store, configs=None):
-    """The lifted analysis over all configurations of the store at once."""
-    if configs is not None and not store.configs.same_as(configs):
-        raise SemanticError("store is not indexed by the given configuration set")
-    return _lifted(stmt, store)
-
-
-def _lifted(stmt, store):
+def analyze(stmt, store):
+    """The engine: analyze stmt on every component of a lifted store at once."""
     if isinstance(stmt, lang.Skip):
         return store
     if isinstance(stmt, lang.Assign):
@@ -86,28 +111,26 @@ def _lifted(stmt, store):
             s.set(stmt.var, eval_expr(stmt.expr, s)) for s in store.stores
         )
     if isinstance(stmt, lang.Seq):
-        return _lifted(stmt.second, _lifted(stmt.first, store))
-    if isinstance(stmt, (lang.If, lang.Lub)):
-        branches = (stmt.then, stmt.orelse) if isinstance(stmt, lang.If) else (stmt.left, stmt.right)
-        return _lifted(branches[0], store).join(_lifted(branches[1], store))
+        return analyze(stmt.second, analyze(stmt.first, store))
+    if isinstance(stmt, lang.If):
+        return analyze(stmt.then, store).join(analyze(stmt.orelse, store))
+    if isinstance(stmt, lang.Lub):
+        return analyze(stmt.left, store).join(analyze(stmt.right, store))
     if isinstance(stmt, lang.While):
-        return kleene_accumulate(lambda s: _lifted(stmt.body, s), store)
+        return kleene_accumulate(lambda s: analyze(stmt.body, s), store)
     if isinstance(stmt, lang.IfDef):
-        analyzed = _lifted(stmt.body, store)
-        configs = store.configs
-        out = [
-            analyzed.stores[i]
-            if featexp.config_satisfies(configs, i, stmt.cond)
-            else store.stores[i]
-            for i in range(len(configs))
-        ]
-        return store.with_stores(out)
+        cases = ifdef_cases(store.configs, stmt.cond)
+        if all(case == UNTOUCHED for case in cases):
+            return store
+        return merge_ifdef(cases, store, analyze(stmt.body, store))
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def analyze_program(program, store):
-    """analyze_lifted over a whole program body."""
-    return analyze_lifted(program.body, store)
+def analyze_lifted(stmt, store, configs=None):
+    """The lifted analysis over all configurations of the store at once."""
+    if configs is not None and not store.configs.same_as(configs):
+        raise SemanticError("store is not indexed by the given configuration set")
+    return analyze(stmt, store)
 
 
 def entry_store(configs, lattice, init="top"):
@@ -116,7 +139,3 @@ def entry_store(configs, lattice, init="top"):
     if init == "bot":
         return LiftedStore.bot(configs, lattice)
     raise SemanticError(f"unknown initial store: {init!r}")
-
-
-def entry_single(lattice, init="top"):
-    return Store.top(lattice) if init == "top" else Store.bot(lattice)

@@ -5,10 +5,11 @@ on the rewritten family coincides (up to renaming of configurations) with
 running the abstracted analysis on the original.  All other statements are
 copied.  The `#if` rewrites, per constructor:
 
-    join (fresh name Z, over current configs K, khat = disjunction of K):
-        khat entails theta            ->  #if (Z)  s'
-        khat&theta, khat&!theta sat   ->  #if (Z)  lub(s', skip)
-        khat entails !theta           ->  #if (!Z) s'
+    join (fresh name Z, over the current configs K; t = the configs of K
+    that satisfy theta, decided on K's named valuations):
+        t empty                       ->  #if (!Z) s'
+        t all of K                    ->  #if (Z)  s'
+        otherwise                     ->  #if (Z)  lub(s', skip)
     proj(phi):    condition and statement kept, configs filtered
     a1 || a2:     one #if with or-ed conditions when both rewrites agree on
                   the body, otherwise both rewrites sequenced
@@ -25,10 +26,7 @@ from __future__ import annotations
 from . import abstraction as ab
 from . import featexp, lang
 from .errors import SemanticError
-from .featexp import And, Atom, FeatureModel, Not, Or, disj_all, entails, equiv, eval_featexp
-from .lattice import CONST
-
-fresh_feature = ab.fresh_feature
+from .featexp import And, Atom, FeatureModel, Not, Or, disj_all, equiv, eval_featexp, valuations_mask
 
 
 def make_lub(s0, s1):
@@ -77,17 +75,19 @@ def _walk_compound(stmt, walk):
     return stmt  # skip, assign
 
 
-def _join_walker(khat, name):
+def _join_walker(group_vals, name):
     z = Atom(name)
+    everything = (1 << len(group_vals)) - 1
 
     def walk(stmt):
         if isinstance(stmt, lang.IfDef):
             body = walk(stmt.body)
-            # !theta first: on an empty join (khat false) the statement must
-            # stay dead, matching the untouched case of the analysis
-            if entails(khat, Not(stmt.cond)):
+            t = valuations_mask(stmt.cond, group_vals)
+            # untouched first: on an empty join the statement must stay dead,
+            # matching the untouched case of the analysis
+            if not t:
                 return lang.IfDef(Not(z), body)
-            if entails(khat, stmt.cond):
+            if t == everything:
                 return lang.IfDef(z, body)
             return lang.IfDef(z, lang.Lub(body, lang.Skip()))
         return _walk_compound(stmt, walk)
@@ -109,7 +109,7 @@ def _make_repair(foreign_vals, own_formula):
     def repair(cond):
         if cond in cache:
             return cache[cond]
-        if all(not eval_featexp(cond, vals) for vals in foreign_vals):
+        if not valuations_mask(cond, foreign_vals):
             out = cond
         else:
             out = And(cond, own_formula())
@@ -164,19 +164,12 @@ def _rewrite(alpha, state, alloc):
     if isinstance(alpha, ab.FProj):
         return _rewrite(ab._fproj_chain(alpha), state, alloc)
     if isinstance(alpha, (ab.Join, ab.GroupJoin)):
-        if isinstance(alpha, ab.GroupJoin):
-            named = state.named_formulas()
-            khat = disj_all(named[i] for i in alpha.indices)
-        elif state.named_hint is not None:
-            khat = state.named_hint
-        else:
-            khat = disj_all(state.named_formulas())
-        new_state, _ = ab._apply(alpha, state, None, alloc, CONST)
+        indices = alpha.indices if isinstance(alpha, ab.GroupJoin) else range(len(state))
+        new_state = ab._apply(alpha, state, alloc)
         name = new_state.renames[-1][0]
-        return new_state, _join_walker(khat, name)
+        return new_state, _join_walker([state.named_vals[i] for i in indices], name)
     if isinstance(alpha, ab.Proj):
-        new_state, _ = ab._apply(alpha, state, None, alloc, CONST)
-        return new_state, _copy_walker
+        return ab._apply(alpha, state, alloc), _copy_walker
     if isinstance(alpha, ab.Compose):
         mid_state, inner_walk = _rewrite(alpha.inner, state, alloc)
         out_state, outer_walk = _rewrite(alpha.outer, mid_state, alloc)

@@ -7,6 +7,7 @@ from liftcal import featexp as fx
 from liftcal.errors import SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_lifted
+from liftcal.oracle import CaseGen, gen_lifted, gen_random_abstraction, gen_random_program
 
 
 def store_values(lifted):
@@ -302,7 +303,7 @@ def test_alpha_requires_concrete_configs(space, configs, a_s2):
 
 
 def test_galois_laws_fixed_instances(space, configs):
-    from liftcal.oracle import CaseGen, check_galois
+    from liftcal.oracle import check_galois
 
     for text in ("join", "proj(A)", "join(B)", "fignore(A)", "(proj(A) >> join) || proj(B)"):
         alpha = ab.parse_abstraction(text, space)
@@ -310,3 +311,27 @@ def test_galois_laws_fixed_instances(space, configs):
             CaseGen(7), cases=60, alpha=alpha, space=space, configs=configs
         )
         assert report.passed, report.failures
+
+
+def test_covers_agree_with_meanings():
+    # covers decide everything; the rendered meanings must denote the same sets
+    gen = CaseGen(17)
+    for _ in range(300):
+        program = gen_random_program(gen)
+        space = program.feature_model.space
+        configs = fx.valid_configs(program.feature_model)
+        alpha = gen_random_abstraction(gen, space)
+        meanings = ab.meaning_configs(alpha, space, configs)
+        store = gen_lifted(gen, configs, ("x", "y"))
+        out = ab.alpha_apply(alpha, configs, store)
+        for k, meaning in enumerate(meanings.formulas):
+            members = [
+                i
+                for i, config in enumerate(configs.valuations)
+                if fx.eval_featexp(meaning, config.as_dict())
+            ]
+            assert meanings.covers[k] == sum(1 << i for i in members)
+            expected = Store.bot(CONST)
+            for i in members:
+                expected = expected.join(store.stores[i])
+            assert out.stores[k] == expected

@@ -129,13 +129,20 @@ def test_sat_iff_negation_not_valid():
         assert fx.sat(phi) == (not fx.valid(fx.Not(phi)))
 
 
-def test_literal_valuation():
-    phi = fx.parse_featexp("A & !B", AB)
-    assert fx.literal_valuation(phi) == {"A": True, "B": False}
-    assert fx.literal_valuation(fx.parse_featexp("A & !A", AB)) is None
-    assert fx.literal_valuation(fx.parse_featexp("A | B", AB)) is None
-    assert fx.literal_valuation(fx.parse_featexp("A & (B | !B)", AB)) is None
-    assert fx.literal_valuation(fx.TRUE) == {}
+def test_mask_agrees_with_evaluation():
+    space = fx.FeatureSpace(("A", "B", "C"))
+    configs = fx.valid_configs(fx.FeatureModel(space, fx.parse_featexp("A | B", space)))
+    assert configs.covers == tuple(1 << i for i in range(len(configs)))
+    for text in ("A", "!A", "A & !B", "A | C", "A => C", "!(B | C) => A", "true", "false"):
+        phi = fx.parse_featexp(text, space)
+        expected = sum(
+            1 << i
+            for i, config in enumerate(configs.valuations)
+            if fx.eval_featexp(phi, config.as_dict())
+        )
+        assert configs.mask(phi) == expected, text
+    with pytest.raises(UndeclaredFeature):
+        configs.mask(fx.Atom("D"))
 
 
 def test_enumeration_cap():

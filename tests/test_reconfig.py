@@ -6,11 +6,12 @@ from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang
 from liftcal.abstracted import analyze_abstracted
+from liftcal.abstraction import NameAllocator, fresh_feature
 from liftcal.errors import SemanticError
 from liftcal.lattice import CONST, LiftedStore, Store, TOP, intval
 from liftcal.lifted import analyze_lifted, analyze_single
 from liftcal.oracle import match_renamed_configs
-from liftcal.reconfig import fresh_feature, make_lub, reconfigure, render_renames, stmt_equal
+from liftcal.reconfig import make_lub, reconfigure, render_renames, stmt_equal
 
 
 def flat_stmts(stmt):
@@ -23,6 +24,8 @@ def test_fresh_feature():
     assert fresh_feature({"A", "B"}) == "Z1"
     assert fresh_feature({"A", "Z1"}) == "Z2"
     assert fresh_feature({"Z1", "Z2"}) == "Z3"
+    alloc = NameAllocator({"A", "Z2", "Z4"})
+    assert [alloc.fresh() for _ in range(3)] == ["Z1", "Z3", "Z5"]
 
 
 def test_make_lub_serialization(top_store):
@@ -156,3 +159,29 @@ def test_render_renames(space, configs):
     text = render_renames(renames)
     assert text.startswith("Z1 = ")
     assert "(A | B) & A" in text
+
+
+def test_fproj_two_features_on_six_feature_chain():
+    # the #if decisions once made a satisfiability query over every fresh
+    # feature of the product, which exceeds the enumeration cap here
+    names = [f"A{i}" for i in range(1, 7)]
+    text = (
+        f"features {', '.join(names)}; model true; begin x := 0; "
+        + "; ".join(f"#if ({name}) {{ x := x + 1 }}" for name in names)
+        + " end"
+    )
+    program = lang.parse_program(text)
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    alpha = ab.parse_abstraction("fproj(A1, A2)", space)
+    rewritten, _ = reconfigure(program, alpha)
+    info = ab.abstract_configs(alpha, space, configs)
+    k_new = fx.valid_configs(rewritten.feature_model)
+    mapping = match_renamed_configs(info, k_new)
+    assert sorted(mapping) == list(range(len(info.configs)))
+    meanings = ab.meaning_configs(alpha, space, configs)
+    direct = analyze_abstracted(program.body, LiftedStore.top(meanings, CONST))
+    via_rewrite = analyze_lifted(rewritten.body, LiftedStore.top(k_new, CONST))
+    assert all(
+        direct.stores[j].leq(via_rewrite.stores[pos]) for pos, j in enumerate(mapping)
+    )
