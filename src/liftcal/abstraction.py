@@ -5,16 +5,17 @@ An abstraction shrinks the configuration dimension of a lifted store:
     join            confound every configuration into one component
     proj(phi)       keep only components whose configuration satisfies phi
     a >> b          sequential composition, read left to right (b after a)
-    a || b          parallel composition (direct product)
+    a || b || ...   parallel composition (direct product), n-ary and flat
     join(phi)       sugar: proj(phi) >> join
     fignore(A)      merge configurations differing only on feature A
     fproj(A,...)    ignore a whole set of features
 
 Application computes the abstract configuration set only, in two views.  The
 *named* view is over the abstract feature space, where every join introduced
-a fresh feature Z naming the confounded disjunction; named configurations
-are always total valuations of the abstract space, so the
-parallel-composition overlap test is exact.  The *meaning* view gives each
+a fresh feature Z naming the confounded disjunction; a named configuration
+is the set of its enabled features, all others false, so it reads the same
+over any wider space and the parallel-composition overlap test is a set
+lookup.  The *meaning* view gives each
 component its cover, the set of original valid configurations it stands for,
 together with a formula over the original feature space that renders it.
 Lifted stores produced here are indexed by the meaning view.
@@ -27,6 +28,8 @@ the meet of the components that cover it (top where none does).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 
 from . import featexp
 from .errors import ParseError, SemanticError, UndeclaredFeature
@@ -37,10 +40,12 @@ from .featexp import (
     ConfigSet,
     FeatureSpace,
     Not,
+    Or,
     TRUE,
     bit_indices,
     conj_all,
     disj_all,
+    fold_balanced,
 )
 from .lattice import CONST, LiftedStore, Store
 from .lexer import Cursor, tokenize
@@ -72,8 +77,15 @@ class Compose(Abstraction):
 
 @dataclass(frozen=True)
 class Product(Abstraction):
-    left: Abstraction
-    right: Abstraction
+    parts: tuple[Abstraction, ...]
+
+
+def product(parts):
+    """The flat product of parts; nested products are spliced in, one part is itself."""
+    flat = []
+    for part in parts:
+        flat.extend(part.parts if isinstance(part, Product) else (part,))
+    return flat[0] if len(flat) == 1 else Product(tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -139,7 +151,7 @@ class ConfigState:
 
     universe: featexp.Universe  # the original valid configurations
     space: FeatureSpace
-    named_vals: tuple[dict, ...]  # total valuations over `space`, one per component
+    named_vals: tuple[frozenset, ...]  # enabled features of `space`, one per component
     meanings: tuple[featexp.FeatExp, ...]  # formulas over the original space
     covers: tuple[int, ...]  # masks over `universe`, one per component
     concrete: bool  # each component is still one original configuration
@@ -147,13 +159,10 @@ class ConfigState:
     meaning_hint: featexp.FeatExp | None  # compact formula over the original space
     renames: tuple[tuple[str, featexp.FeatExp], ...]
 
-    def named_formulas(self):
-        return tuple(
-            conj_all(
-                Atom(f) if vals[f] else Not(Atom(f)) for f in self.space.features
-            )
-            for vals in self.named_vals
-        )
+    def named_formula(self, i):
+        """Component i as a literal conjunction over the whole of `space`."""
+        on = self.named_vals[i]
+        return conj_all(Atom(f) if f in on else Not(Atom(f)) for f in self.space.features)
 
     def __len__(self):
         return len(self.named_vals)
@@ -166,7 +175,7 @@ def initial_state(space, configs):
     return ConfigState(
         universe=configs.universe,
         space=space,
-        named_vals=tuple(v.as_dict() for v in configs.valuations),
+        named_vals=tuple(frozenset(compress(space.features, c.values)) for c in configs.valuations),
         meanings=configs.formulas,
         covers=configs.covers,
         concrete=True,
@@ -206,64 +215,59 @@ def _groups_by_elimination(state, features):
     return list(groups.values())
 
 
-def _extend_vals(vals, space):
-    extended = {f: False for f in space.features}
-    extended.update(vals)
-    return extended
+def _product_merge(states, base_renames):
+    """Merge sibling states; returns (state, positions).
 
-
-def _product_merge(left, right, base_renames):
-    """Merge two sibling states; returns (state, right_index_map).
-
-    Left components keep their positions; a right component equal (as a
-    valuation of the union space, missing features negated) to a left one is
-    shared and mapped onto it, otherwise it is appended.
+    Components are taken side by side in order; one whose enabled named
+    features equal an earlier component's is shared with it, otherwise it is
+    appended.  positions[k][j] is where side k's j-th component landed.
     """
-    space = FeatureSpace(
-        left.space.features
-        + tuple(f for f in right.space.features if f not in left.space)
-    )
-    left_ext = [_extend_vals(v, space) for v in left.named_vals]
-    right_ext = [_extend_vals(v, space) for v in right.named_vals]
-    named_vals = list(left_ext)
-    meanings = list(left.meanings)
-    covers = list(left.covers)
-    right_map = []
-    for j, vals in enumerate(right_ext):
-        for i, existing in enumerate(left_ext):
-            if existing == vals:
-                right_map.append(i)
-                break
-        else:
-            right_map.append(len(named_vals))
-            named_vals.append(vals)
-            meanings.append(right.meanings[j])
-            covers.append(right.covers[j])
-
-    def ext_hint(side):
-        if side.named_hint is None:
-            return None
-        missing = [f for f in space.features if f not in side.space]
-        return conj_all([side.named_hint] + [Not(Atom(f)) for f in missing])
-
-    lh, rh = ext_hint(left), ext_hint(right)
-    named_hint = featexp.Or(lh, rh) if lh is not None and rh is not None else None
-    concrete = left.concrete and right.concrete
-    meaning_hint = None
-    if concrete and left.meaning_hint is not None and right.meaning_hint is not None:
-        meaning_hint = featexp.Or(left.meaning_hint, right.meaning_hint)
+    features, index = {}, {}
+    named_vals, meanings, covers, positions = [], [], [], []
+    for side in states:
+        features.update(dict.fromkeys(side.space.features))
+        landed = []
+        for on, meaning, cover in zip(side.named_vals, side.meanings, side.covers):
+            if on not in index:
+                index[on] = len(named_vals)
+                named_vals.append(on)
+                meanings.append(meaning)
+                covers.append(cover)
+            landed.append(index[on])
+        positions.append(landed)
+    concrete = all(side.concrete for side in states)
+    hints = [side.meaning_hint for side in states]
+    # folded left to right, as join meanings and renames render it
+    meaning_hint = reduce(Or, hints) if concrete and None not in hints else None
     merged = ConfigState(
-        universe=left.universe,
-        space=space,
+        universe=states[0].universe,
+        space=FeatureSpace(tuple(features)),
         named_vals=tuple(named_vals),
         meanings=tuple(meanings),
         covers=tuple(covers),
         concrete=concrete,
-        named_hint=named_hint,
+        named_hint=_merged_named_hint(states),
         meaning_hint=meaning_hint,
-        renames=left.renames + right.renames[len(base_renames):],
+        renames=base_renames
+        + tuple(r for side in states for r in side.renames[len(base_renames):]),
     )
-    return merged, right_map
+    return merged, positions
+
+
+def _merged_named_hint(states):
+    """disj(named) over the merged space: each side's hint with the features it
+    lacks negated, folded pairwise so that those negations stay O(n log n)."""
+    if any(side.named_hint is None for side in states):
+        return None
+
+    def merge(left, right):
+        (lspace, lhint), (rspace, rhint) = left, right
+        lset, rset = set(lspace), set(rspace)
+        lhint = conj_all([lhint] + [Not(Atom(f)) for f in rspace if f not in lset])
+        rhint = conj_all([rhint] + [Not(Atom(f)) for f in lspace if f not in rset])
+        return lspace + tuple(f for f in rspace if f not in lset), Or(lhint, rhint)
+
+    return fold_balanced(((s.space.features, s.named_hint) for s in states), merge)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +299,8 @@ def _apply(alpha, state, alloc):
     if isinstance(alpha, Compose):
         return _apply(alpha.outer, _apply(alpha.inner, state, alloc), alloc)
     if isinstance(alpha, Product):
-        left = _apply(alpha.left, state, alloc)
-        right = _apply(alpha.right, state, alloc)
-        return _product_merge(left, right, state.renames)[0]
+        sides = [_apply(part, state, alloc) for part in alpha.parts]
+        return _product_merge(sides, state.renames)[0]
     if isinstance(alpha, FIgnore):
         expansion = _fignore_fold(state, alpha.feature)
         if expansion is None:
@@ -323,10 +326,7 @@ def _fignore_fold(state, feature):
     groups = _groups_by_elimination(state, (feature,))
     if not groups:
         return None
-    out = GroupJoin(tuple(groups[0]))
-    for group in groups[1:]:
-        out = Product(out, GroupJoin(tuple(group)))
-    return out
+    return product(GroupJoin(tuple(group)) for group in groups)
 
 
 def _empty_state(state):
@@ -371,7 +371,7 @@ def _apply_group(indices, phi, state, alloc):
     return ConfigState(
         universe=state.universe,
         space=FeatureSpace((name,)),
-        named_vals=({name: True},),
+        named_vals=(frozenset((name,)),),
         meanings=(meaning,),
         covers=(cover,),
         concrete=False,
@@ -404,8 +404,8 @@ def abstract_configs(alpha, space, configs):
     """The abstract feature space and configuration set induced by alpha."""
     state = _abstract_state(alpha, configs)
     valuations = tuple(
-        featexp.Config(state.space, tuple(v[f] for f in state.space.features))
-        for v in state.named_vals
+        featexp.Config(state.space, tuple(f in on for f in state.space.features))
+        for on in state.named_vals
     )
     return AbstractedConfigs(
         space=state.space,
@@ -499,11 +499,7 @@ def fignore_expand(feature, configs):
     if not groups:
         raise SemanticError("cannot expand fignore over an empty configuration set")
     # expansion formulas stay literal disjunctions so they are readable in specs
-    parts = [JoinPhi(disj_all(state.meanings[i] for i in g)) for g in groups]
-    out = parts[0]
-    for part in parts[1:]:
-        out = Product(out, part)
-    return out
+    return product(JoinPhi(disj_all(state.meanings[i] for i in g)) for g in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +508,18 @@ def fignore_expand(feature, configs):
 #   abs := abs "||" abs | abs ">>" abs | "join" | "join(" fe ")" | "proj(" fe ")"
 #        | "fignore(" IDENT ")" | "fproj(" IDENT ("," IDENT)* ")" | "(" abs ")"
 #
-#   ">>" binds tighter than "||"; both left-associative.  "a >> b" applies a
-#   first, i.e. it denotes the composition b o a.
+#   ">>" binds tighter than "||" and is left-associative; "||" is associative,
+#   so a chain of it, parenthesized or not, is one flat product.  "a >> b"
+#   applies a first, i.e. it denotes the composition b o a.
 
 
 def parse_abstraction_cursor(cur, space):
     def product_level():
-        left = compose_level()
+        parts = [compose_level()]
         while cur.at_sym("||"):
             cur.advance()
-            left = Product(left, compose_level())
-        return left
+            parts.append(compose_level())
+        return product(parts)
 
     def compose_level():
         left = atom_level()
@@ -608,5 +605,5 @@ def render_abstraction(alpha):
             outer = f"({outer})"
         return f"{inner} >> {outer}"
     if isinstance(alpha, Product):
-        return f"{render_abstraction(alpha.left)} || {render_abstraction(alpha.right)}"
+        return " || ".join(render_abstraction(part) for part in alpha.parts)
     raise TypeError(f"not an abstraction: {alpha!r}")

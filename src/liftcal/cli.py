@@ -1,7 +1,7 @@
 """Command-line frontend: analyze, reconfigure, check, bench.
 
-Exit codes: 0 success, 1 usage or parse error, 2 semantic error,
-3 property-check failure.
+Exit codes: 0 success, 1 usage or parse error, 2 semantic error (also input
+nested too deeply to process), 3 property-check failure.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def cmd_bench(args):
     join_entry = ab.alpha_apply(join_alpha, configs, entry, lattice)
     _, join_time = _time(lambda: analyze_abstracted(program.body, join_entry))
     half = featexp.Atom(space.features[0])
-    medium_alpha = ab.Product(ab.Proj(half), ab.JoinPhi(featexp.Not(half)))
+    medium_alpha = ab.product((ab.Proj(half), ab.JoinPhi(featexp.Not(half))))
     medium_entry = ab.alpha_apply(medium_alpha, configs, entry, lattice)
     _, medium_time = _time(lambda: analyze_abstracted(program.body, medium_entry))
 
@@ -274,6 +274,9 @@ def main(argv=None):
         return EXIT_SEMANTIC
     except LiftcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
         return EXIT_SEMANTIC
 
 

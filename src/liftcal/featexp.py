@@ -116,30 +116,27 @@ TRUE = TrueExp()
 FALSE = FalseExp()
 
 
-def conj_all(parts):
-    """Conjunction of a sequence, folded balanced so deep nests stay shallow."""
+def fold_balanced(parts, combine):
+    """Fold a nonempty sequence pairwise, level by level, so it nests log n deep."""
     parts = list(parts)
-    if not parts:
-        return TRUE
     while len(parts) > 1:
         parts = [
-            And(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
+            combine(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
             for i in range(0, len(parts), 2)
         ]
     return parts[0]
+
+
+def conj_all(parts):
+    """Conjunction of a sequence, folded balanced so deep nests stay shallow."""
+    parts = list(parts)
+    return fold_balanced(parts, And) if parts else TRUE
 
 
 def disj_all(parts):
     """Disjunction of a sequence; empty disjunction is false."""
     parts = list(parts)
-    if not parts:
-        return FALSE
-    while len(parts) > 1:
-        parts = [
-            Or(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
+    return fold_balanced(parts, Or) if parts else FALSE
 
 
 def features_of(phi):
@@ -224,23 +221,31 @@ def mask_from_bits(bits):
     return int("".join(["1" if bit else "0" for bit in reversed(bits)]) or "0", 2)
 
 
-def valuations_mask(phi, valuations):
-    """Bit i set iff valuations[i] (a mapping from name to bool) satisfies phi."""
+def valuations_masker(valuations):
+    """phi -> mask of valuations[i] (each the set of its enabled features) satisfying phi.
+
+    The per-feature masks are built once, for every phi.
+    """
     masks = {}
 
     def feature_mask(name):
         if name not in masks:
-            masks[name] = mask_from_bits([vals[name] for vals in valuations])
+            masks[name] = mask_from_bits([name in on for on in valuations])
         return masks[name]
 
-    return mask_of(phi, feature_mask, (1 << len(valuations)) - 1)
+    full = (1 << len(valuations)) - 1
+    return lambda phi: mask_of(phi, feature_mask, full)
 
 
 def bit_indices(mask):
     """Positions of the set bits of a mask, ascending, in time linear in its size."""
-    if not mask & (mask - 1):
-        return (mask.bit_length() - 1,) if mask else ()
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    if mask.bit_count() > 64:
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    out = []  # sparse: peel off the lowest set bit
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def render(phi, compact=False):

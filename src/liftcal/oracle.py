@@ -143,10 +143,9 @@ def gen_random_abstraction(gen, space, depth=None):
             gen_random_abstraction(gen, space, depth - 1),
             gen_random_abstraction(gen, space, depth - 1),
         )
-    return ab.Product(
-        gen_random_abstraction(gen, space, depth - 1),
-        gen_random_abstraction(gen, space, depth - 1),
-    )
+    left = gen_random_abstraction(gen, space, depth - 1)
+    right = gen_random_abstraction(gen, space, depth - 1)
+    return ab.product((left, right))
 
 
 def _collapses(alpha):
@@ -155,14 +154,8 @@ def _collapses(alpha):
     if isinstance(alpha, ab.Compose):
         return _collapses(alpha.outer) or _collapses(alpha.inner)
     if isinstance(alpha, ab.Product):
-        return _collapses(alpha.left) or _collapses(alpha.right)
+        return any(_collapses(part) for part in alpha.parts)
     return False
-
-
-def _product_sides(alpha):
-    if isinstance(alpha, ab.Product):
-        return _product_sides(alpha.left) + _product_sides(alpha.right)
-    return [alpha]
 
 
 def rewrite_exact(alpha):
@@ -175,7 +168,7 @@ def rewrite_exact(alpha):
     The exact fragment, which covers every shape the construction itself
     exercises: confounding stages (join, join(phi), fignore, single-feature
     fproj) never compose over a subtree that already confounds; and a product
-    tree with a confounding side has at most one projection-only side (two
+    with a confounding side has at most one projection-only side (two
     transparent sides can otherwise double-analyze shared components when a
     confounding sibling keeps their copies apart).
     """
@@ -188,7 +181,7 @@ def rewrite_exact(alpha):
             return False
         return not (_collapses(alpha.outer) and _collapses(alpha.inner))
     if isinstance(alpha, ab.Product):
-        sides = _product_sides(alpha)
+        sides = alpha.parts
         if not all(rewrite_exact(side) for side in sides):
             return False
         if any(_collapses(side) for side in sides):
@@ -532,17 +525,17 @@ def match_renamed_configs(abstracted_info, rewritten_configs):
     space, so each corresponds to exactly one named abstract configuration;
     this realizes the paper's match-by-renamed-equivalence deterministically.
     """
-    named_vals = [c.as_dict() for c in abstracted_info.configs.valuations]
-    mapping = []
-    for config in rewritten_configs.valuations:
-        vals = config.as_dict()
-        for i, candidate in enumerate(named_vals):
-            if candidate == vals:
-                mapping.append(i)
-                break
-        else:
-            raise SemanticError("rewritten configuration has no abstract counterpart")
-    if len(set(mapping)) != len(named_vals):
+    position = {}
+    for i, config in enumerate(abstracted_info.configs.valuations):
+        position.setdefault(frozenset(config.as_dict().items()), i)
+    try:
+        mapping = [
+            position[frozenset(config.as_dict().items())]
+            for config in rewritten_configs.valuations
+        ]
+    except KeyError:
+        raise SemanticError("rewritten configuration has no abstract counterpart") from None
+    if len(set(mapping)) != len(abstracted_info.configs.valuations):
         raise SemanticError("rewritten configurations do not cover the abstract set")
     return mapping
 

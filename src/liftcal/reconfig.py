@@ -11,8 +11,11 @@ copied.  The `#if` rewrites, per constructor:
         t all of K                    ->  #if (Z)  s'
         otherwise                     ->  #if (Z)  lub(s', skip)
     proj(phi):    condition and statement kept, configs filtered
-    a1 || a2:     one #if with or-ed conditions when both rewrites agree on
-                  the body, otherwise both rewrites sequenced
+    a1 || ... || an:  every side rewritten; a guard firing on none of its
+                  side's components is dead and dropped; one #if per class of
+                  equal bodies, guarded by the or of its live guards (one that
+                  fires where the class must not run is conjoined with its
+                  side's components); other side rewrites follow in order
     a1 >> a2:     a2's rewrite applied to a1's output
 
 The derived constructors are rewritten through their expansions into the
@@ -23,10 +26,13 @@ which the analysis treats identically since if-conditions are ignored.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import abstraction as ab
 from . import featexp, lang
 from .errors import SemanticError
-from .featexp import And, Atom, FeatureModel, Not, Or, disj_all, equiv, eval_featexp, valuations_mask
+from .featexp import FALSE, And, Atom, FeatureModel, Not, disj_all, equiv, eval_featexp
+from .featexp import valuations_masker
 
 
 def make_lub(s0, s1):
@@ -78,11 +84,12 @@ def _walk_compound(stmt, walk):
 def _join_walker(group_vals, name):
     z = Atom(name)
     everything = (1 << len(group_vals)) - 1
+    mask = valuations_masker(group_vals)
 
     def walk(stmt):
         if isinstance(stmt, lang.IfDef):
             body = walk(stmt.body)
-            t = valuations_mask(stmt.cond, group_vals)
+            t = mask(stmt.cond)
             # untouched first: on an empty join the statement must stay dead,
             # matching the untouched case of the analysis
             if not t:
@@ -95,30 +102,6 @@ def _join_walker(group_vals, name):
     return walk
 
 
-def _make_repair(foreign_vals, own_formula):
-    """Guard repair for one side of a parallel composition.
-
-    A side's rewritten guard must not fire on the other side's components
-    (e.g. a `!Z` guard is satisfied by every foreign component, where Z is
-    false).  Guards already false under all foreign valuations are kept
-    verbatim, so the basic rewrites come out unchanged; anything else gets
-    the side's ownership formula conjoined.
-    """
-    cache = {}
-
-    def repair(cond):
-        if cond in cache:
-            return cache[cond]
-        if not valuations_mask(cond, foreign_vals):
-            out = cond
-        else:
-            out = And(cond, own_formula())
-        cache[cond] = out
-        return out
-
-    return repair
-
-
 def _repair_stmt(stmt, repair):
     """Apply a guard repair to the top-level #ifs of a rewritten fragment."""
     if isinstance(stmt, lang.IfDef):
@@ -129,27 +112,53 @@ def _repair_stmt(stmt, repair):
     return stmt
 
 
-def _product_walker(left_walk, right_walk, repair_left, repair_right):
-    def walk(stmt):
-        if isinstance(stmt, lang.IfDef):
-            left = left_walk(stmt)
-            right = right_walk(stmt)
-            if (
-                isinstance(left, lang.IfDef)
-                and isinstance(right, lang.IfDef)
-                and stmt_equal(left.body, right.body)
-            ):
-                c_left = repair_left(left.cond)
-                c_right = repair_right(right.cond)
-                if c_left == c_right:
-                    return lang.IfDef(c_left, left.body)
-                return lang.IfDef(Or(c_left, c_right), left.body)
-            # in any configuration at most one of the sequenced copies has a
-            # guard that can still fire after repair
-            return lang.Seq(_repair_stmt(left, repair_left), _repair_stmt(right, repair_right))
-        return _walk_compound(stmt, walk)
+def _product_rewrite(sides, state):
+    """Merge the rewritten sides of a product; returns the state and its walker."""
+    merged, positions = ab._product_merge([side for side, _ in sides], state.renames)
+    mask = valuations_masker(merged.named_vals)
+    owns = [sum(1 << p for p in landed) for landed in positions]
+    own_formulas = [
+        cache(lambda landed=landed: disj_all(merged.named_formula(p) for p in sorted(landed)))
+        for landed in positions
+    ]
 
-    return walk
+    def repair(k, cond, allowed):
+        # side k's guard: false if dead, else narrowed to the side's own
+        # components where it fires outside `allowed` (as `!Z` does on every
+        # foreign component)
+        fires = mask(cond)
+        if not fires & owns[k]:
+            return FALSE
+        return cond if not fires & ~allowed else And(cond, own_formulas[k]())
+
+    def walk(stmt):
+        if not isinstance(stmt, lang.IfDef):
+            return _walk_compound(stmt, walk)
+        classes = []  # (body, [(side, guard)]) of the live #ifs, by first appearance
+        rest = []
+        for k, (_, side_walk) in enumerate(sides):
+            out = side_walk(stmt)
+            if not isinstance(out, lang.IfDef):
+                rest.append(_repair_stmt(out, lambda cond, k=k: repair(k, cond, owns[k])))
+            elif mask(out.cond) & owns[k]:
+                for body, members in classes:
+                    if stmt_equal(body, out.body):
+                        members.append((k, out.cond))
+                        break
+                else:
+                    classes.append((out.body, [(k, out.cond)]))
+        ifdefs = []
+        for body, members in classes:
+            # the class runs its body where a side's guard fires on the side's
+            # own components; only a guard firing anywhere else is repaired
+            allowed = 0
+            for k, cond in members:
+                allowed |= mask(cond) & owns[k]
+            guards = dict.fromkeys(repair(k, cond, allowed) for k, cond in members)
+            ifdefs.append(lang.IfDef(disj_all(guards), body))
+        return lang.seq_all(ifdefs + rest)
+
+    return merged, walk
 
 
 def _rewrite(alpha, state, alloc):
@@ -175,33 +184,7 @@ def _rewrite(alpha, state, alloc):
         out_state, outer_walk = _rewrite(alpha.outer, mid_state, alloc)
         return out_state, (lambda stmt: outer_walk(inner_walk(stmt)))
     if isinstance(alpha, ab.Product):
-        left_state, left_walk = _rewrite(alpha.left, state, alloc)
-        right_state, right_walk = _rewrite(alpha.right, state, alloc)
-        merged, right_map = ab._product_merge(left_state, right_state, state.renames)
-        left_count = len(left_state)
-        right_positions = set(right_map)
-        merged_named = None
-
-        def own_formula(positions):
-            def build():
-                nonlocal merged_named
-                if merged_named is None:
-                    merged_named = merged.named_formulas()
-                return disj_all(merged_named[p] for p in sorted(positions))
-
-            return build
-
-        foreign_left = [
-            merged.named_vals[p] for p in range(left_count, len(merged))
-        ]
-        foreign_right = [
-            merged.named_vals[p]
-            for p in range(left_count)
-            if p not in right_positions
-        ]
-        repair_left = _make_repair(foreign_left, own_formula(set(range(left_count))))
-        repair_right = _make_repair(foreign_right, own_formula(right_positions))
-        return merged, _product_walker(left_walk, right_walk, repair_left, repair_right)
+        return _product_rewrite([_rewrite(part, state, alloc) for part in alpha.parts], state)
     raise TypeError(f"not an abstraction: {alpha!r}")
 
 
@@ -234,10 +217,11 @@ def reconfigure(program, alpha, simplify=False):
     if simplify:
         if len(out_state) != 1:
             raise SemanticError("--simplify requires a single remaining configuration")
-        body = _simplify_single(body, out_state.named_vals[0])
+        on = out_state.named_vals[0]
+        body = _simplify_single(body, {f: f in on for f in out_state.space.features})
     psi = out_state.named_hint
     if psi is None:
-        psi = disj_all(out_state.named_formulas())
+        psi = disj_all(out_state.named_formula(i) for i in range(len(out_state)))
     new_program = lang.Program(
         FeatureModel(out_state.space, psi), lang.relabel(body)
     )

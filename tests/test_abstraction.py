@@ -40,7 +40,7 @@ def test_parse_compose_reads_left_to_right(space):
 def test_parse_product_and_grouping(space):
     alpha = ab.parse_abstraction("(proj(A) >> join) || proj(B)", space)
     assert alpha == ab.Product(
-        ab.Compose(ab.Join(), ab.Proj(fx.Atom("A"))), ab.Proj(fx.Atom("B"))
+        (ab.Compose(ab.Join(), ab.Proj(fx.Atom("A"))), ab.Proj(fx.Atom("B")))
     )
 
 
@@ -53,7 +53,23 @@ def test_parse_sugar_forms(space):
 def test_parse_compose_binds_tighter_than_product(space):
     alpha = ab.parse_abstraction("proj(A) >> join || proj(B)", space)
     assert isinstance(alpha, ab.Product)
-    assert isinstance(alpha.left, ab.Compose)
+    assert isinstance(alpha.parts[0], ab.Compose)
+
+
+def test_product_chains_parse_flat(space):
+    parts = (ab.Proj(fx.Atom("A")), ab.Join(), ab.JoinPhi(fx.Atom("B")))
+    flat = ab.Product(parts)
+    for text in (
+        "proj(A) || (join || join(B))",
+        "(proj(A) || join) || join(B)",
+        "proj(A) || join || join(B)",
+    ):
+        alpha = ab.parse_abstraction(text, space)
+        assert alpha == flat
+        assert ab.render_abstraction(alpha) == "proj(A) || join || join(B)"
+        assert ab.parse_abstraction(ab.render_abstraction(alpha), space) == alpha
+    assert ab.product((ab.Product(parts[:2]), parts[2])) == flat
+    assert ab.product((parts[0],)) == parts[0]
 
 
 def test_render_round_trips(space):
@@ -144,7 +160,7 @@ def test_fignore_examples(a_s2, space, configs):
 
 def test_workshop_product_example(a_s2, space, configs):
     # join(A) || join(B) keeps two components: joins of the A- and B-parts
-    alpha = ab.Product(ab.JoinPhi(fx.Atom("A")), ab.JoinPhi(fx.Atom("B")))
+    alpha = ab.Product((ab.JoinPhi(fx.Atom("A")), ab.JoinPhi(fx.Atom("B"))))
     result = ab.alpha_apply(alpha, configs, a_s2)
     assert store_values(result) == [TOP, TOP]
     # and on a_s1 everything is constant 1
@@ -182,7 +198,7 @@ def test_gamma_proj_fills_top(space, configs):
 def test_gamma_product_is_meet_of_sides(space, configs):
     left = ab.JoinPhi(fx.Atom("A"))
     right = ab.JoinPhi(fx.Atom("B"))
-    product = ab.Product(left, right)
+    product = ab.Product((left, right))
     meanings = ab.meaning_configs(product, space, configs)
     d = LiftedStore(
         meanings, (Store.of(CONST, {"x": intval(1)}), Store.of(CONST, {"x": intval(2)}))
@@ -203,13 +219,14 @@ def test_gamma_product_is_meet_of_sides(space, configs):
 def test_fignore_expand_structure(space, configs):
     expansion = ab.fignore_expand("A", configs)
     assert isinstance(expansion, ab.Product)
-    assert isinstance(expansion.left, ab.JoinPhi)
-    assert isinstance(expansion.right, ab.JoinPhi)
-    assert fx.equiv(expansion.left.phi, fx.parse_featexp("(A & B) | (!A & B)", space))
-    assert fx.equiv(expansion.right.phi, fx.parse_featexp("A & !B", space))
-    expansion_b = ab.fignore_expand("B", configs)
-    assert fx.equiv(expansion_b.left.phi, fx.parse_featexp("(A & B) | (A & !B)", space))
-    assert fx.equiv(expansion_b.right.phi, fx.parse_featexp("!A & B", space))
+    left, right = expansion.parts
+    assert isinstance(left, ab.JoinPhi)
+    assert isinstance(right, ab.JoinPhi)
+    assert fx.equiv(left.phi, fx.parse_featexp("(A & B) | (!A & B)", space))
+    assert fx.equiv(right.phi, fx.parse_featexp("A & !B", space))
+    left_b, right_b = ab.fignore_expand("B", configs).parts
+    assert fx.equiv(left_b.phi, fx.parse_featexp("(A & B) | (A & !B)", space))
+    assert fx.equiv(right_b.phi, fx.parse_featexp("!A & B", space))
 
 
 def test_fignore_expand_single_group():

@@ -189,22 +189,39 @@ def test_check_json(capsys):
     assert payload["passed"] is True
 
 
+GAP_SOURCE = (
+    "features A, B; model B;\n"
+    "begin #if (B) { #if (B & B) { skip }; if (0) { skip } else { skip; x := x + 1 } } end"
+)
+
+
 def test_check_failure_exits_3(capsys, tmp_path):
-    # a stacked-collapse product where the rewrite is coarser than the
-    # one-shot analysis (see the notes on the exact fragment): the targeted
-    # check reports the mismatch and exits 3
+    # a stacked collapse, where the rewrite is coarser than the one-shot
+    # analysis (see the notes on the exact fragment): the targeted check
+    # reports the mismatch and exits 3
     path = tmp_path / "gap.imp"
-    path.write_text(
-        "features A, B; model B;\n"
-        "begin #if (B) { #if (B & B) { skip }; if (0) { skip } else { skip; x := x + 1 } } end"
+    path.write_text(GAP_SOURCE)
+    code, out, _ = run(
+        capsys, "check", str(path),
+        "--abs", "(proj(A) || join) >> join",
+        "--cases", "20", "--lattice", "constplus",
     )
+    assert code == 3
+    assert "commutation: FAIL" in out
+
+
+def test_check_flat_product_with_two_projections_commutes(capsys, tmp_path):
+    # the flat product rewrites all three sides at once: the two projection
+    # sides share one #if per body, so the body runs once per configuration
+    path = tmp_path / "gap.imp"
+    path.write_text(GAP_SOURCE)
     code, out, _ = run(
         capsys, "check", str(path),
         "--abs", "(proj(B) || join) || proj(true)",
         "--cases", "20", "--lattice", "constplus",
     )
-    assert code == 3
-    assert "commutation: FAIL" in out
+    assert code == 0
+    assert "commutation: pass" in out
 
 
 def test_malformed_abstraction_exits_1(capsys, s1_file):
@@ -249,3 +266,14 @@ def test_semantic_error_exits_2(capsys, s1_file):
     code, _, err = run(capsys, "reconfigure", s1_file, "--abs", "proj(A)", "--simplify")
     assert code == 2
     assert "simplify" in err
+
+
+def test_deep_program_exits_2_without_traceback(capsys, tmp_path):
+    deep = tmp_path / "deep.imp"
+    body = "; ".join(["x := x + 1"] * 1500)
+    deep.write_text(f"features A; model true; begin {body} end")
+    code, _, err = run(capsys, "analyze", str(deep))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -74,8 +74,8 @@ def test_generator_covers_constructors():
                 visit_abs(node.outer)
                 visit_abs(node.inner)
             if isinstance(node, ab.Product):
-                visit_abs(node.left)
-                visit_abs(node.right)
+                for part in node.parts:
+                    visit_abs(part)
 
         visit_abs(alpha)
     assert {"Join", "Proj", "JoinPhi", "FIgnore", "FProj", "Compose", "Product"} <= abs_kinds
@@ -95,8 +95,8 @@ def test_exact_fragment_covers_constructors():
                 visit(node.outer)
                 visit(node.inner)
             if isinstance(node, ab.Product):
-                visit(node.left)
-                visit(node.right)
+                for part in node.parts:
+                    visit(part)
 
         visit(alpha)
     assert {"Join", "Proj", "JoinPhi", "FIgnore", "FProj", "Compose", "Product"} <= kinds

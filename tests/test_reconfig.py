@@ -185,3 +185,57 @@ def test_fproj_two_features_on_six_feature_chain():
     assert all(
         direct.stores[j].leq(via_rewrite.stores[pos]) for pos, j in enumerate(mapping)
     )
+
+
+def chain_program(n):
+    names = [f"A{i}" for i in range(1, n + 1)]
+    body = "; ".join(["x := 0"] + [f"#if ({name}) {{ x := x + 1 }}" for name in names])
+    return lang.parse_program(f"features {', '.join(names)}; model true; begin {body} end")
+
+
+def test_wide_product_is_flat_and_commutes():
+    # a product wider than the interpreter's default recursion limit
+    program = chain_program(4)
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    sides = ["join(A1)"] + [f"proj(A{2 + i % 3})" for i in range(1099)]
+    alpha = ab.parse_abstraction(" || ".join(sides), space)
+    entry = LiftedStore.top(configs, CONST)
+    abstract = ab.alpha_apply(alpha, configs, entry, CONST)
+    direct = analyze_abstracted(program.body, abstract)
+    concrete = ab.gamma_apply(alpha, configs, direct, CONST)
+    assert analyze_lifted(program.body, entry).leq(concrete)
+    rewritten, renames = reconfigure(program, alpha)
+    assert list(renames) == ["Z1"]
+    info = ab.abstract_configs(alpha, space, configs)
+    k_new = fx.valid_configs(rewritten.feature_model)
+    mapping = match_renamed_configs(info, k_new)
+    assert sorted(mapping) == list(range(len(info.configs)))
+    via_rewrite = analyze_lifted(
+        rewritten.body, LiftedStore(k_new, tuple(abstract.stores[j] for j in mapping))
+    )
+    assert all(via_rewrite.stores[pos] == direct.stores[j] for pos, j in enumerate(mapping))
+    assert len(alpha.parts) == 1100
+
+
+def test_fignore_on_eleven_feature_chain():
+    # one join per group of configurations agreeing off A1: a 1024-sided product
+    program = chain_program(11)
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    alpha = ab.FIgnore("A1")
+    entry = LiftedStore.top(configs, CONST)
+    abstract = ab.alpha_apply(alpha, configs, entry, CONST)
+    assert len(abstract) == 1024
+    direct = analyze_abstracted(program.body, abstract)
+    concrete = ab.gamma_apply(alpha, configs, direct, CONST)
+    assert analyze_lifted(program.body, entry).leq(concrete)
+    rewritten, renames = reconfigure(program, alpha)
+    assert len(renames) == 1024
+    # one #if per #if of the program, each guarded by an or of fresh features
+    stmts = flat_stmts(rewritten.body)
+    guards = [fx.features_of(s.cond) for s in stmts if isinstance(s, lang.IfDef)]
+    assert len(guards) == 11 and all(set(g) <= set(renames) for g in guards)
+    assert "&" not in "".join(
+        fx.render(s.cond) for s in stmts if isinstance(s, lang.IfDef)
+    )
