@@ -7,18 +7,21 @@ configurations it confounds, and a `#if` splits on covers three ways per
 component (see `lifted`): untouched, analyzed, or old joined with analyzed.
 
 The same transfer functions can be phrased as data-flow equations over
-per-label in/out stores; solve_dataflow computes their least solution with a
-worklist, which is an upper bound of the compositional result at every label
-and equal to it on loop-free programs.
+per-label in/out stores; solve_dataflow computes their least solution, which
+is an upper bound of the compositional result at every label and equal to it
+on loop-free programs.  It keeps one event per label entry and one per label
+exit on a heap in Euler-tour order, so a loop-free program is solved in one
+sweep and only loops iterate.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import featexp, lang
 from .errors import SemanticError
-from .lattice import LiftedStore, Store
+from .lattice import LiftedStore, Store, shared
 from .lifted import UNTOUCHED, analyze, eval_expr, ifdef_cases, merge_ifdef
 
 
@@ -67,15 +70,18 @@ def build_dataflow(stmt, alpha=None, configs=None, lattice=None):
 def solve_dataflow(system, entry):
     """Least solution of the equation system with in[root] = entry.
 
-    Returns a mapping label -> (in, out).  Iterates a FIFO worklist over the
-    statement tree; termination follows from the finite lattice height.
+    Returns a mapping label -> (in, out).  Each label has an in and an out
+    event, numbered in Euler-tour order and kept on a heap: the smallest
+    stale event is evaluated next, and a change re-queues its readers.  Only
+    a while's back edges point backwards, so a loop-free program is solved
+    in one sweep.  The least solution is unique, so the order does not
+    change it; termination follows from the finite lattice height.
     """
     lattice = entry.stores[0].lattice if entry.stores else system.lattice
     configs = entry.configs
     bottom = LiftedStore.bot(configs, lattice)
     ins = {label: bottom for label in system.statements}
     outs = {label: bottom for label in system.statements}
-    ins[system.root.label] = entry
 
     parents = {}
     for label, stmt in system.statements.items():
@@ -87,6 +93,11 @@ def solve_dataflow(system, entry):
         for label, stmt in system.statements.items()
         if isinstance(stmt, lang.IfDef)
     }
+
+    bottom_store = Store.bot(lattice)
+
+    def guard(case, store):
+        return bottom_store if case == UNTOUCHED else store
 
     def compute_in(stmt):
         parent = parents.get(stmt.label)
@@ -103,21 +114,14 @@ def solve_dataflow(system, entry):
         if isinstance(parent, lang.IfDef):
             cases = ifdef_cases_by_label[parent.label]
             src = ins[parent.label]
-            guarded = [
-                src.stores[i] if case != UNTOUCHED else Store.bot(lattice)
-                for i, case in enumerate(cases)
-            ]
-            return src.with_stores(guarded)
+            return src.with_stores(shared(guard, cases, src.stores))
         raise TypeError(f"unexpected parent: {parent!r}")
 
     def compute_out(stmt):
         if isinstance(stmt, lang.Skip):
             return ins[stmt.label]
         if isinstance(stmt, lang.Assign):
-            src = ins[stmt.label]
-            return src.with_stores(
-                s.set(stmt.var, eval_expr(stmt.expr, s)) for s in src.stores
-            )
+            return ins[stmt.label].map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
         if isinstance(stmt, lang.Seq):
             return outs[stmt.second.label]
         if isinstance(stmt, (lang.If, lang.Lub)):
@@ -131,34 +135,43 @@ def solve_dataflow(system, entry):
             )
         raise TypeError(f"not a statement: {stmt!r}")
 
-    # label dependencies: recompute a statement when its in, a child's out,
-    # a preceding sibling's out, or (for while bodies) its own out changes
-    dependents = {label: set() for label in system.statements}
-    for label, stmt in system.statements.items():
-        for kid in lang.children(stmt):
-            dependents[kid.label].add(label)
-            dependents[label].add(kid.label)
-        if isinstance(stmt, lang.Seq):
-            dependents[stmt.first.label].add(stmt.second.label)
-        if isinstance(stmt, lang.While):
-            dependents[stmt.body.label].add(stmt.body.label)
+    # events (is_out, stmt) in Euler-tour order
+    events, stack = [], [(False, system.root)]
+    while stack:
+        is_out, stmt = stack.pop()
+        events.append((is_out, stmt))
+        if not is_out:
+            stack.append((True, stmt))
+            stack.extend((False, kid) for kid in reversed(lang.children(stmt)))
+    number = {(is_out, stmt.label): n for n, (is_out, stmt) in enumerate(events)}
 
-    worklist = sorted(system.statements)
-    queued = set(worklist)
-    while worklist:
-        label = worklist.pop(0)
-        queued.discard(label)
-        stmt = system.statements[label]
-        new_in = compute_in(stmt)
-        changed = new_in != ins[label]
-        ins[label] = new_in
-        new_out = compute_out(stmt)
-        changed = changed or new_out != outs[label]
-        outs[label] = new_out
-        if changed:
-            for dep in sorted(dependents[label]):
-                if dep not in queued:
-                    queued.add(dep)
-                    worklist.append(dep)
+    readers = [[] for _ in events]
+    for label, stmt in system.statements.items():
+        edges = [((False, label), (True, label))]
+        for kid in lang.children(stmt):
+            edges.append(((False, label), (False, kid.label)))
+            edges.append(((True, kid.label), (True, label)))
+        if isinstance(stmt, lang.Seq):
+            edges.append(((True, stmt.first.label), (False, stmt.second.label)))
+        if isinstance(stmt, lang.While):
+            edges.append(((True, stmt.body.label), (False, stmt.body.label)))
+            edges.append(((False, stmt.body.label), (True, label)))
+        for src, dst in edges:
+            readers[number[src]].append(number[dst])
+
+    heap = list(range(len(events)))  # sorted, so already a heap
+    queued = set(heap)
+    while heap:
+        n = heapq.heappop(heap)
+        queued.discard(n)
+        is_out, stmt = events[n]
+        table = outs if is_out else ins
+        new = compute_out(stmt) if is_out else compute_in(stmt)
+        if new != table[stmt.label]:
+            table[stmt.label] = new
+            for reader in readers[n]:
+                if reader not in queued:
+                    queued.add(reader)
+                    heapq.heappush(heap, reader)
 
     return {label: (ins[label], outs[label]) for label in system.statements}

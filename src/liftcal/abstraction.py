@@ -27,6 +27,7 @@ the meet of the components that cover it (top where none does).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -155,7 +156,7 @@ class ConfigState:
     meanings: tuple[featexp.FeatExp, ...]  # formulas over the original space
     covers: tuple[int, ...]  # masks over `universe`, one per component
     concrete: bool  # each component is still one original configuration
-    named_hint: featexp.FeatExp | None  # compact formula over `space` for disj(named)
+    named_hint: Callable[[], featexp.FeatExp | None]  # compact disj(named), built on read
     meaning_hint: featexp.FeatExp | None  # compact formula over the original space
     renames: tuple[tuple[str, featexp.FeatExp], ...]
 
@@ -179,7 +180,7 @@ def initial_state(space, configs):
         meanings=configs.formulas,
         covers=configs.covers,
         concrete=True,
-        named_hint=configs.hint,
+        named_hint=lambda: configs.hint,
         meaning_hint=configs.hint,
         renames=(),
     )
@@ -246,7 +247,7 @@ def _product_merge(states, base_renames):
         meanings=tuple(meanings),
         covers=tuple(covers),
         concrete=concrete,
-        named_hint=_merged_named_hint(states),
+        named_hint=lambda: _merged_named_hint(states),
         meaning_hint=meaning_hint,
         renames=base_renames
         + tuple(r for side in states for r in side.renames[len(base_renames):]),
@@ -257,7 +258,8 @@ def _product_merge(states, base_renames):
 def _merged_named_hint(states):
     """disj(named) over the merged space: each side's hint with the features it
     lacks negated, folded pairwise so that those negations stay O(n log n)."""
-    if any(side.named_hint is None for side in states):
+    hints = [side.named_hint() for side in states]
+    if any(hint is None for hint in hints):
         return None
 
     def merge(left, right):
@@ -267,7 +269,7 @@ def _merged_named_hint(states):
         rhint = conj_all([rhint] + [Not(Atom(f)) for f in lspace if f not in rset])
         return lspace + tuple(f for f in rspace if f not in lset), Or(lhint, rhint)
 
-    return fold_balanced(((s.space.features, s.named_hint) for s in states), merge)[1]
+    return fold_balanced(zip((s.space.features for s in states), hints), merge)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,7 @@ def _apply(alpha, state, alloc):
             meanings=tuple(state.meanings[i] for i in indices),
             covers=tuple(state.covers[i] for i in indices),
             concrete=state.concrete,
-            named_hint=_conj_hint(state.named_hint, alpha.phi, state.concrete),
+            named_hint=lambda: _conj_hint(state.named_hint(), alpha.phi, state.concrete),
             meaning_hint=_conj_hint(state.meaning_hint, alpha.phi, state.concrete),
             renames=state.renames,
         )
@@ -339,7 +341,7 @@ def _empty_state(state):
         meanings=(),
         covers=(),
         concrete=False,
-        named_hint=FALSE,
+        named_hint=lambda: FALSE,
         meaning_hint=FALSE,
         renames=state.renames,
     )
@@ -375,7 +377,7 @@ def _apply_group(indices, phi, state, alloc):
         meanings=(meaning,),
         covers=(cover,),
         concrete=False,
-        named_hint=Atom(name),
+        named_hint=lambda: Atom(name),
         meaning_hint=meaning,
         renames=state.renames + ((name, meaning),),
     )
@@ -409,7 +411,7 @@ def abstract_configs(alpha, space, configs):
     )
     return AbstractedConfigs(
         space=state.space,
-        configs=featexp.concrete_configs(state.space, valuations, state.named_hint),
+        configs=featexp.concrete_configs(state.space, valuations, state.named_hint()),
         meanings=state.meanings,
         renames=dict(state.renames),
     )

@@ -238,9 +238,29 @@ class Store:
 # Lifted stores
 
 
+def shared(fn, *columns):
+    """fn over aligned sequences, computed once per distinct tuple of input objects.
+
+    The inputs are keyed by object identity, which is sound because the
+    sequences keep every input alive for the whole call.  Each new result is
+    swapped for an equal one already produced, so equal results come back as
+    one object and the sharing carries over to the next operation.
+    """
+    keys = list(zip(*[map(id, column) for column in columns]))
+    firsts = dict(zip(keys, zip(*columns)))
+    if len(firsts) == 1:  # one distinct input, nothing to look up or merge
+        return (fn(*firsts.popitem()[1]),) * len(keys)
+    canon, results = {}, {}
+    for key, args in firsts.items():
+        result = fn(*args)
+        results[key] = canon.setdefault(result, result)
+    return tuple(map(results.__getitem__, keys))
+
+
 @dataclass(frozen=True)
 class LiftedStore:
-    """One store per configuration, ordered like its ConfigSet."""
+    """One store per configuration, ordered like its ConfigSet; equal stores
+    are usually one shared object, and operations run once per object."""
 
     configs: ConfigSet
     stores: tuple[Store, ...]
@@ -251,11 +271,11 @@ class LiftedStore:
 
     @staticmethod
     def top(configs, lattice):
-        return LiftedStore(configs, tuple(Store.top(lattice) for _ in configs))
+        return LiftedStore(configs, (Store.top(lattice),) * len(configs))
 
     @staticmethod
     def bot(configs, lattice):
-        return LiftedStore(configs, tuple(Store.bot(lattice) for _ in configs))
+        return LiftedStore(configs, (Store.bot(lattice),) * len(configs))
 
     def __len__(self):
         return len(self.stores)
@@ -264,21 +284,20 @@ class LiftedStore:
         if not self.configs.same_as(other.configs):
             raise SemanticError("lifted stores are indexed by different configuration sets")
 
+    def map(self, fn):
+        return self.with_stores(shared(fn, self.stores))
+
     def leq(self, other):
         self._check_match(other)
-        return all(a.leq(b) for a, b in zip(self.stores, other.stores))
+        return all(shared(Store.leq, self.stores, other.stores))
 
     def join(self, other):
         self._check_match(other)
-        return LiftedStore(
-            self.configs, tuple(a.join(b) for a, b in zip(self.stores, other.stores))
-        )
+        return self.with_stores(shared(Store.join, self.stores, other.stores))
 
     def meet(self, other):
         self._check_match(other)
-        return LiftedStore(
-            self.configs, tuple(a.meet(b) for a, b in zip(self.stores, other.stores))
-        )
+        return self.with_stores(shared(Store.meet, self.stores, other.stores))
 
     def pi(self, phi):
         """The component whose configuration is equivalent to phi."""

@@ -23,13 +23,20 @@ cover with the mask t of the configurations satisfying theta:
 A valid configuration covers one bit, so the lifted analysis never meets the
 mixed case.  An empty cover (a join that confounded nothing) counts as
 untouched, matching what its never-satisfied rewritten guard does.
+
+Stores are shared: every per-component operation (assignment, join, the
+`#if` merge) runs once per distinct input store object and returns one
+object per distinct result (`lattice.shared`).  Entry stores repeat one
+object, so store operations follow the number of distinct stores, and only
+the keying and the `#if` case split stay per component: a chain of n `#if`s
+over 2^n configurations holds n+1 stores.
 """
 
 from __future__ import annotations
 
 from . import lang
 from .errors import SemanticError
-from .lattice import LiftedStore, intval
+from .lattice import LiftedStore, intval, shared
 
 ANALYZED, UNTOUCHED, MIXED = 0, 1, 2
 
@@ -68,12 +75,13 @@ def ifdef_cases(configs, theta):
     ]
 
 
+def _merge_case(case, old, new):
+    return new if case == ANALYZED else old if case == UNTOUCHED else old.join(new)
+
+
 def merge_ifdef(cases, before, after):
     """The store after a `#if`: per case, analyzed, untouched or both joined."""
-    return before.with_stores(
-        new if case == ANALYZED else old if case == UNTOUCHED else old.join(new)
-        for case, old, new in zip(cases, before.stores, after.stores)
-    )
+    return before.with_stores(shared(_merge_case, cases, before.stores, after.stores))
 
 
 def analyze_expr_lifted(expr, store, configs=None):
@@ -107,9 +115,7 @@ def analyze(stmt, store):
     if isinstance(stmt, lang.Skip):
         return store
     if isinstance(stmt, lang.Assign):
-        return store.with_stores(
-            s.set(stmt.var, eval_expr(stmt.expr, s)) for s in store.stores
-        )
+        return store.map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
     if isinstance(stmt, lang.Seq):
         return analyze(stmt.second, analyze(stmt.first, store))
     if isinstance(stmt, lang.If):

@@ -219,7 +219,7 @@ def reconfigure(program, alpha, simplify=False):
             raise SemanticError("--simplify requires a single remaining configuration")
         on = out_state.named_vals[0]
         body = _simplify_single(body, {f: f in on for f in out_state.space.features})
-    psi = out_state.named_hint
+    psi = out_state.named_hint()
     if psi is None:
         psi = disj_all(out_state.named_formula(i) for i in range(len(out_state)))
     new_program = lang.Program(

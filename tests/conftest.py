@@ -23,6 +23,15 @@ begin
 end
 """
 
+# x := 0, then one `#if (Ai) { x := x + 1 }` per feature: 2048 configurations,
+# and x counts the enabled features, so 12 distinct stores
+CHAIN_FEATURES = [f"A{i}" for i in range(1, 12)]
+CHAIN_SOURCE = (
+    f"features {', '.join(CHAIN_FEATURES)};\nmodel true;\nbegin\n  x := 0; "
+    + "; ".join(f"#if ({name}) {{ x := x + 1 }}" for name in CHAIN_FEATURES)
+    + "\nend\n"
+)
+
 
 @pytest.fixture
 def s1():

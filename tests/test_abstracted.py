@@ -2,9 +2,10 @@
 
 import pytest
 
+import liftcal.abstracted
 from liftcal import abstraction as ab
 from liftcal import featexp as fx
-from liftcal import lang
+from liftcal import lang, oracle
 from liftcal.abstracted import (
     analyze_abstracted,
     analyze_expr_abstracted,
@@ -12,7 +13,9 @@ from liftcal.abstracted import (
     solve_dataflow,
 )
 from liftcal.lattice import CONST, CONST_PLUS, GEQ0, TOP, LiftedStore, Store, intval
-from liftcal.lifted import analyze_lifted
+from liftcal.lifted import analyze_lifted, eval_expr
+
+from conftest import CHAIN_SOURCE
 
 
 def abstract_top(alpha, space, configs, lattice=CONST):
@@ -172,3 +175,123 @@ def test_solver_requires_dense_labels(space):
 
     with pytest.raises(SemanticError):
         build_dataflow(not_relabeled)
+
+
+def test_chain_split_is_solved_in_one_sweep(monkeypatch):
+    program = lang.parse_program(CHAIN_SOURCE)
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    alpha = ab.parse_abstraction("proj(A1) || join(!A1)", space)
+    entry = ab.alpha_apply(alpha, configs, LiftedStore.top(configs, CONST), CONST)
+    assert len(entry) == 1025
+    merges = []
+    merge_ifdef = liftcal.abstracted.merge_ifdef
+
+    def counted(*args):
+        merges.append(args)
+        return merge_ifdef(*args)
+
+    monkeypatch.setattr(liftcal.abstracted, "merge_ifdef", counted)
+    system = build_dataflow(program.body, alpha, entry.configs, CONST)
+    root_out = solve_dataflow(system, entry)[program.body.label][1]
+    # loop-free: each #if's out event is evaluated exactly once
+    assert len(merges) == 11
+    assert len({id(s) for s in root_out.stores}) <= 13
+    assert root_out == analyze_abstracted(program.body, entry)
+
+
+def reference_dataflow(stmt, entry, lattice):
+    """Round-robin over every in and out equation until none changes.
+
+    Each store is a plain list with one Store per component; nothing is
+    shared or scheduled, so it checks solve_dataflow's event heap and its
+    shared stores.
+    """
+    configs = entry.configs
+    full = configs.universe.full
+    nodes = lang.labels_of(stmt)
+    parents = {kid.label: node for node in nodes.values() for kid in lang.children(node)}
+    bottom = [Store.bot(lattice)] * len(configs)
+    ins = {label: bottom for label in nodes}
+    outs = dict(ins)
+
+    def join(xs, ys):
+        return [x.join(y) for x, y in zip(xs, ys)]
+
+    def case(cond, cover):
+        t = configs.mask(cond)
+        if not cover & t:
+            return "untouched"
+        return "analyzed" if not cover & full & ~t else "mixed"
+
+    def in_of(node):
+        parent = parents.get(node.label)
+        if parent is None:
+            return list(entry.stores)
+        if isinstance(parent, lang.Seq) and node is parent.second:
+            return outs[parent.first.label]
+        if isinstance(parent, lang.While):
+            return join(ins[parent.label], outs[node.label])
+        if isinstance(parent, lang.IfDef):
+            return [
+                bottom[0] if case(parent.cond, cover) == "untouched" else s
+                for cover, s in zip(configs.covers, ins[parent.label])
+            ]
+        return ins[parent.label]
+
+    def out_of(node):
+        if isinstance(node, lang.Skip):
+            return ins[node.label]
+        if isinstance(node, lang.Assign):
+            return [s.set(node.var, eval_expr(node.expr, s)) for s in ins[node.label]]
+        if isinstance(node, lang.Seq):
+            return outs[node.second.label]
+        if isinstance(node, lang.While):
+            return ins[node.body.label]
+        if isinstance(node, lang.IfDef):
+            merged = []
+            for cover, old, new in zip(configs.covers, ins[node.label], outs[node.body.label]):
+                kind = case(node.cond, cover)
+                if kind == "mixed":
+                    new = old.join(new)
+                merged.append(old if kind == "untouched" else new)
+            return merged
+        left, right = lang.children(node)
+        return join(outs[left.label], outs[right.label])
+
+    changed = True
+    while changed:
+        changed = False
+        for label, node in nodes.items():
+            for table, equation in ((ins, in_of), (outs, out_of)):
+                new = equation(node)
+                if new != table[label]:
+                    table[label] = new
+                    changed = True
+    return {label: (tuple(ins[label]), tuple(outs[label])) for label in nodes}
+
+
+def has_while(stmt):
+    return any(isinstance(node, lang.While) for node in lang.labels_of(stmt).values())
+
+
+@pytest.mark.parametrize("lattice", [CONST, CONST_PLUS])
+def test_solver_equals_round_robin_reference(lattice):
+    gen = oracle.CaseGen(7, max_features=4, lattice=lattice)
+    checked = 0
+    while checked < 100:
+        program = oracle.gen_random_program(gen)
+        alpha = oracle.gen_random_abstraction(gen, program.feature_model.space)
+        if not has_while(program.body):
+            continue
+        configs = fx.valid_configs(program.feature_model)
+        meanings = ab.meaning_configs(alpha, program.feature_model.space, configs)
+        variables = oracle.VAR_NAMES[: gen.max_vars]
+        entry = oracle.gen_lifted(gen, meanings, variables)
+        system = build_dataflow(program.body, alpha, meanings, lattice)
+        solution = solve_dataflow(system, entry)
+        expected = reference_dataflow(program.body, entry, lattice)
+        assert {
+            label: (i.stores, o.stores) for label, (i, o) in solution.items()
+        } == expected, lang.pretty(program)
+        checked += 1

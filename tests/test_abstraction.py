@@ -121,6 +121,22 @@ def test_product_configs_paper_example(space, configs):
     assert fx.equiv(info.meanings[2], fx.parse_featexp("!A & B", space))
 
 
+def test_named_hint_is_built_only_where_read(monkeypatch, a_s1, space, configs):
+    alpha = ab.parse_abstraction("(proj(A) >> join) || proj(B)", space)
+    built = []
+    merged_named_hint = ab._merged_named_hint
+    monkeypatch.setattr(
+        ab, "_merged_named_hint", lambda states: built.append(states) or merged_named_hint(states)
+    )
+    abstracted = ab.alpha_apply(alpha, configs, a_s1)
+    ab.gamma_apply(alpha, configs, abstracted)
+    ab.meaning_configs(alpha, space, configs)
+    assert built == []
+    info = ab.abstract_configs(alpha, space, configs)
+    assert len(built) == 1
+    assert fx.equiv(info.configs.hint, fx.disj_all(info.configs.formulas))
+
+
 # ---------------------------------------------------------------------------
 # Alpha on stores (paper values)
 

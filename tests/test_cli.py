@@ -1,9 +1,13 @@
 """The liftcal command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liftcal
 from liftcal import cli, lang
 from liftcal import featexp as fx
 from liftcal.lattice import CONST_PLUS, parse_value
@@ -277,3 +281,21 @@ def test_deep_program_exits_2_without_traceback(capsys, tmp_path):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def run_module(*argv):
+    src = os.path.dirname(os.path.dirname(liftcal.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "liftcal", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_m_liftcal_runs_the_cli():
+    shown = run_module("--help")
+    assert shown.returncode == cli.EXIT_OK
+    assert "analyze" in shown.stdout
+    unknown = run_module("frobnicate")
+    assert unknown.returncode == cli.EXIT_USAGE
+    assert "error:" in unknown.stderr

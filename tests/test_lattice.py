@@ -16,6 +16,7 @@ from liftcal.lattice import (
     intval,
     parse_value,
     render_value,
+    shared,
 )
 
 CONST_CARRIER = [BOT, TOP] + [intval(n) for n in range(-3, 4)]
@@ -208,3 +209,24 @@ def test_lifted_mismatch_rejected(configs):
     b = LiftedStore.top(other, CONST)
     with pytest.raises(SemanticError):
         a.join(b)
+
+
+def test_lifted_top_and_bot_share_one_store(configs):
+    for lifted in (LiftedStore.top(configs, CONST), LiftedStore.bot(configs, CONST)):
+        assert len(lifted) == 3
+        assert all(s is lifted.stores[0] for s in lifted.stores)
+
+
+def test_shared_computes_once_per_distinct_input():
+    a, b = Store.of(CONST, {"x": intval(1)}), Store.of(CONST, {"x": intval(2)})
+    calls = []
+
+    def forget_x(store):
+        calls.append(store)
+        return store.set("x", TOP)
+
+    out = shared(forget_x, (a, b, a, b, a))
+    assert calls == [a, b]
+    # equal results from distinct inputs come back as one object
+    assert out == (Store.top(CONST),) * 5
+    assert all(s is out[0] for s in out)

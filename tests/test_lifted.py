@@ -8,6 +8,8 @@ from liftcal.errors import SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_expr_lifted, analyze_lifted, analyze_single
 
+from conftest import CHAIN_SOURCE
+
 
 def stores_of(values, configs):
     return LiftedStore(configs, tuple(Store.of(CONST, {"x": v}) for v in values))
@@ -110,3 +112,12 @@ def test_empty_config_set():
     configs = fx.valid_configs(program.feature_model)
     result = analyze_lifted(program.body, LiftedStore.top(configs, CONST))
     assert len(result) == 0
+
+
+def test_chain_keeps_one_store_object_per_value():
+    program = lang.parse_program(CHAIN_SOURCE)
+    configs = fx.valid_configs(program.feature_model)
+    result = analyze_lifted(program.body, LiftedStore.top(configs, CONST))
+    assert len({id(s) for s in result.stores}) == 12
+    for config, store in zip(configs.valuations, result.stores):
+        assert store.get("x") == intval(sum(config.values))
