@@ -73,9 +73,9 @@ def solve_dataflow(system, entry):
     Returns a mapping label -> (in, out).  Each label has an in and an out
     event, numbered in Euler-tour order and kept on a heap: the smallest
     stale event is evaluated next, and a change re-queues its readers.  Only
-    a while's back edges point backwards, so a loop-free program is solved
-    in one sweep.  The least solution is unique, so the order does not
-    change it; termination follows from the finite lattice height.
+    each while's out(body) -> in(body) points backwards, so a loop-free
+    program takes one sweep.  The least solution is unique, so the order
+    does not change it; termination follows from the finite lattice height.
     """
     lattice = entry.stores[0].lattice if entry.stores else system.lattice
     configs = entry.configs

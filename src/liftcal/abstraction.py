@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress
 
 from . import featexp
@@ -156,7 +156,7 @@ class ConfigState:
     meanings: tuple[featexp.FeatExp, ...]  # formulas over the original space
     covers: tuple[int, ...]  # masks over `universe`, one per component
     concrete: bool  # each component is still one original configuration
-    named_hint: Callable[[], featexp.FeatExp | None]  # compact disj(named), built on read
+    named_hint: Callable[[], featexp.FeatExp | None]  # compact disj(named), built once, on read
     meaning_hint: featexp.FeatExp | None  # compact formula over the original space
     renames: tuple[tuple[str, featexp.FeatExp], ...]
 
@@ -247,7 +247,7 @@ def _product_merge(states, base_renames):
         meanings=tuple(meanings),
         covers=tuple(covers),
         concrete=concrete,
-        named_hint=lambda: _merged_named_hint(states),
+        named_hint=cache(lambda: _merged_named_hint(states)),
         meaning_hint=meaning_hint,
         renames=base_renames
         + tuple(r for side in states for r in side.renames[len(base_renames):]),
@@ -294,7 +294,11 @@ def _apply(alpha, state, alloc):
             meanings=tuple(state.meanings[i] for i in indices),
             covers=tuple(state.covers[i] for i in indices),
             concrete=state.concrete,
-            named_hint=lambda: _conj_hint(state.named_hint(), alpha.phi, state.concrete),
+            named_hint=(
+                cache(lambda: _conj_hint(state.named_hint(), alpha.phi, True))
+                if state.concrete
+                else lambda: None
+            ),
             meaning_hint=_conj_hint(state.meaning_hint, alpha.phi, state.concrete),
             renames=state.renames,
         )

@@ -248,8 +248,6 @@ def shared(fn, *columns):
     """
     keys = list(zip(*[map(id, column) for column in columns]))
     firsts = dict(zip(keys, zip(*columns)))
-    if len(firsts) == 1:  # one distinct input, nothing to look up or merge
-        return (fn(*firsts.popitem()[1]),) * len(keys)
     canon, results = {}, {}
     for key, args in firsts.items():
         result = fn(*args)

@@ -137,6 +137,19 @@ def test_named_hint_is_built_only_where_read(monkeypatch, a_s1, space, configs):
     assert fx.equiv(info.configs.hint, fx.disj_all(info.configs.formulas))
 
 
+def test_named_hint_is_built_once_per_state(monkeypatch, space, configs):
+    # both projections of the outer product read the inner product's hint
+    alpha = ab.parse_abstraction("(proj(A) || proj(!A)) >> (proj(B) || proj(!B))", space)
+    built = []
+    merged_named_hint = ab._merged_named_hint
+    monkeypatch.setattr(
+        ab, "_merged_named_hint", lambda states: built.append(states) or merged_named_hint(states)
+    )
+    info = ab.abstract_configs(alpha, space, configs)
+    assert len(built) == 2
+    assert fx.equiv(info.configs.hint, fx.disj_all(info.configs.formulas))
+
+
 # ---------------------------------------------------------------------------
 # Alpha on stores (paper values)
 
