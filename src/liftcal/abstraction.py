@@ -15,10 +15,11 @@ Application computes the abstract configuration set only, in two views.  The
 a fresh feature Z naming the confounded disjunction; a named configuration
 is the set of its enabled features, all others false, so it reads the same
 over any wider space and the parallel-composition overlap test is a set
-lookup.  The *meaning* view gives each
-component its cover, the set of original valid configurations it stands for,
-together with a formula over the original feature space that renders it.
-Lifted stores produced here are indexed by the meaning view.
+lookup.  The *meaning* view gives each component its cover, the set of
+original valid configurations it stands for.  Its formulas over the original
+space are built when read (featexp.named_meaning): a component means the
+rename of the one fresh feature it enables, else its own literals.  Lifted
+stores produced here are indexed by the meaning view.
 
 Every abstraction is a join over such covers, so alpha gives each component
 the join of the stores its cover holds, and gamma gives each configuration
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial
 from itertools import compress
 
 from . import featexp
@@ -47,6 +48,7 @@ from .featexp import (
     conj_all,
     disj_all,
     fold_balanced,
+    named_meaning,
 )
 from .lattice import CONST, LiftedStore, Store
 from .lexer import Cursor, tokenize
@@ -148,22 +150,20 @@ class NameAllocator:
 
 @dataclass(frozen=True)
 class ConfigState:
-    """Both views of an abstract configuration set, threaded through application."""
+    """An abstract configuration set, threaded through application; formulas built on read."""
 
     universe: featexp.Universe  # the original valid configurations
     space: FeatureSpace
     named_vals: tuple[frozenset, ...]  # enabled features of `space`, one per component
-    meanings: tuple[featexp.FeatExp, ...]  # formulas over the original space
     covers: tuple[int, ...]  # masks over `universe`, one per component
     concrete: bool  # each component is still one original configuration
-    named_hint: Callable[[], featexp.FeatExp | None]  # compact disj(named), built once, on read
-    meaning_hint: featexp.FeatExp | None  # compact formula over the original space
-    renames: tuple[tuple[str, featexp.FeatExp], ...]
+    named_hint: Callable[[], featexp.FeatExp | None]  # compact disj(named), built once
+    meaning_hint: Callable[[], featexp.FeatExp | None]  # compact disj(meanings)
+    renames: dict[str, Callable[[], featexp.FeatExp]]  # fresh name -> its meaning, in order
 
     def named_formula(self, i):
         """Component i as a literal conjunction over the whole of `space`."""
-        on = self.named_vals[i]
-        return conj_all(Atom(f) if f in on else Not(Atom(f)) for f in self.space.features)
+        return featexp.literal_conjunction(self.named_vals[i], self.space)
 
     def __len__(self):
         return len(self.named_vals)
@@ -177,12 +177,11 @@ def initial_state(space, configs):
         universe=configs.universe,
         space=space,
         named_vals=tuple(frozenset(compress(space.features, c.values)) for c in configs.valuations),
-        meanings=configs.formulas,
         covers=configs.covers,
         concrete=True,
-        named_hint=lambda: configs.hint,
-        meaning_hint=configs.hint,
-        renames=(),
+        named_hint=configs.hint_of,
+        meaning_hint=configs.hint_of,
+        renames={},
     )
 
 
@@ -190,12 +189,6 @@ def _select(state, phi):
     """Indices of components whose every configuration satisfies phi."""
     rest = state.universe.full & ~state.universe.mask(phi)
     return [i for i, cover in enumerate(state.covers) if not cover & rest]
-
-
-def _join_meaning(state, indices):
-    if len(indices) == len(state.meanings) and state.meaning_hint is not None:
-        return state.meaning_hint
-    return disj_all(state.meanings[i] for i in indices)
 
 
 def _groups_by_elimination(state, features):
@@ -216,7 +209,7 @@ def _groups_by_elimination(state, features):
     return list(groups.values())
 
 
-def _product_merge(states, base_renames):
+def _product_merge(states):
     """Merge sibling states; returns (state, positions).
 
     Components are taken side by side in order; one whose enabled named
@@ -224,35 +217,36 @@ def _product_merge(states, base_renames):
     appended.  positions[k][j] is where side k's j-th component landed.
     """
     features, index = {}, {}
-    named_vals, meanings, covers, positions = [], [], [], []
+    named_vals, covers, positions = [], [], []
     for side in states:
         features.update(dict.fromkeys(side.space.features))
         landed = []
-        for on, meaning, cover in zip(side.named_vals, side.meanings, side.covers):
+        for on, cover in zip(side.named_vals, side.covers):
             if on not in index:
                 index[on] = len(named_vals)
                 named_vals.append(on)
-                meanings.append(meaning)
                 covers.append(cover)
             landed.append(index[on])
         positions.append(landed)
     concrete = all(side.concrete for side in states)
-    hints = [side.meaning_hint for side in states]
-    # folded left to right, as join meanings and renames render it
-    meaning_hint = reduce(Or, hints) if concrete and None not in hints else None
     merged = ConfigState(
         universe=states[0].universe,
         space=FeatureSpace(tuple(features)),
         named_vals=tuple(named_vals),
-        meanings=tuple(meanings),
         covers=tuple(covers),
         concrete=concrete,
         named_hint=cache(lambda: _merged_named_hint(states)),
-        meaning_hint=meaning_hint,
-        renames=base_renames
-        + tuple(r for side in states for r in side.renames[len(base_renames):]),
+        meaning_hint=(lambda: _merged_meaning_hint(states)) if concrete else lambda: None,
+        # each side's renames extend those of the common input state, in order
+        renames={name: m for side in states for name, m in side.renames.items()},
     )
     return merged, positions
+
+
+def _merged_meaning_hint(states):
+    """disj(meanings) of concrete sides, folded pairwise so it nests log n deep."""
+    hints = [side.meaning_hint() for side in states]
+    return None if None in hints else fold_balanced(hints, Or)
 
 
 def _merged_named_hint(states):
@@ -291,22 +285,25 @@ def _apply(alpha, state, alloc):
             universe=state.universe,
             space=state.space,
             named_vals=tuple(state.named_vals[i] for i in indices),
-            meanings=tuple(state.meanings[i] for i in indices),
             covers=tuple(state.covers[i] for i in indices),
             concrete=state.concrete,
             named_hint=(
-                cache(lambda: _conj_hint(state.named_hint(), alpha.phi, True))
+                cache(lambda: _conj_hint(state.named_hint(), alpha.phi))
                 if state.concrete
                 else lambda: None
             ),
-            meaning_hint=_conj_hint(state.meaning_hint, alpha.phi, state.concrete),
+            meaning_hint=(
+                (lambda: _conj_hint(state.meaning_hint(), alpha.phi))
+                if state.concrete
+                else lambda: None
+            ),
             renames=state.renames,
         )
     if isinstance(alpha, Compose):
         return _apply(alpha.outer, _apply(alpha.inner, state, alloc), alloc)
     if isinstance(alpha, Product):
         sides = [_apply(part, state, alloc) for part in alpha.parts]
-        return _product_merge(sides, state.renames)[0]
+        return _product_merge(sides)[0]
     if isinstance(alpha, FIgnore):
         expansion = _fignore_fold(state, alpha.feature)
         if expansion is None:
@@ -342,17 +339,16 @@ def _empty_state(state):
         universe=state.universe,
         space=state.space,
         named_vals=(),
-        meanings=(),
         covers=(),
         concrete=False,
         named_hint=lambda: FALSE,
-        meaning_hint=FALSE,
+        meaning_hint=lambda: FALSE,
         renames=state.renames,
     )
 
 
-def _conj_hint(hint, phi, concrete):
-    if hint is None or not concrete:
+def _conj_hint(hint, phi):
+    if hint is None:
         return None
     if phi == TRUE:
         return hint
@@ -360,31 +356,39 @@ def _conj_hint(hint, phi, concrete):
 
 
 def _apply_group(indices, phi, state, alloc):
-    """Confound the selected components into one fresh-named component.
-
-    phi, when given, is the selection formula (used only to keep the recorded
-    meaning compact on concrete states); the meaning is the disjunction of
-    the selected components either way.
-    """
+    """Confound the selected components into one fresh-named component."""
     name = alloc.fresh()
-    if phi is not None and state.concrete and state.meaning_hint is not None:
-        meaning = state.meaning_hint if phi == TRUE else And(state.meaning_hint, phi)
-    else:
-        meaning = _join_meaning(state, indices) if indices else FALSE
     cover = 0
     for i in indices:
         cover |= state.covers[i]
+    meaning = partial(_group_meaning, indices, phi, state)
     return ConfigState(
         universe=state.universe,
         space=FeatureSpace((name,)),
         named_vals=(frozenset((name,)),),
-        meanings=(meaning,),
         covers=(cover,),
         concrete=False,
         named_hint=lambda: Atom(name),
         meaning_hint=meaning,
-        renames=state.renames + ((name, meaning),),
+        renames={**state.renames, name: meaning},
     )
+
+
+def _group_meaning(indices, phi, state):
+    """The formula a join names: the disjunction of the selected components, kept
+    compact through the state's hint (and the selection formula phi) where known."""
+    if phi is not None and state.concrete:
+        hint = _conj_hint(state.meaning_hint(), phi)
+        if hint is not None:
+            return hint
+    if not indices:
+        return FALSE
+    if len(indices) == len(state):
+        hint = state.meaning_hint()
+        if hint is not None:
+            return hint
+    space = state.universe.space
+    return disj_all(named_meaning(state.named_vals[i], state.renames, space) for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,17 @@ class AbstractedConfigs:
 
     space: FeatureSpace  # abstract feature space
     configs: ConfigSet  # named view, total valuations over `space`
-    meanings: tuple[featexp.FeatExp, ...]  # per config, over the original space
-    renames: dict  # fresh feature name -> meaning formula
+    meaning_view: ConfigSet  # the same components over the original space
+
+    @property
+    def meanings(self):
+        """Per config, its formula over the original space."""
+        return self.meaning_view.formulas
+
+    @property
+    def renames(self):
+        """Fresh feature name -> the formula over the original space it names."""
+        return {name: meaning() for name, meaning in self.meaning_view.renames.items()}
 
 
 def _abstract_state(alpha, configs):
@@ -416,8 +429,7 @@ def abstract_configs(alpha, space, configs):
     return AbstractedConfigs(
         space=state.space,
         configs=featexp.concrete_configs(state.space, valuations, state.named_hint()),
-        meanings=state.meanings,
-        renames=dict(state.renames),
+        meaning_view=_meaning_configset(state),
     )
 
 
@@ -427,7 +439,13 @@ def _meaning_configset(state):
     if state.concrete:
         valuations = tuple(universe.valuations[c.bit_length() - 1] for c in state.covers)
     return ConfigSet(
-        universe.space, state.meanings, state.covers, universe, valuations, state.meaning_hint
+        universe.space,
+        state.covers,
+        universe,
+        valuations,
+        state.named_vals,
+        state.renames,
+        state.meaning_hint,
     )
 
 
@@ -454,7 +472,7 @@ def alpha_apply(alpha, configs, store, lattice=None):
 
     Each component is the join of the stores of the configurations it covers.
     """
-    if not store.configs.same_as(configs):
+    if store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
     state = _abstract_state(alpha, configs)
@@ -500,12 +518,11 @@ def fignore_expand(feature, configs):
     Groups the configurations by equivalence after eliminating the feature and
     returns JoinPhi(g1) || JoinPhi(g2) || ... in first-member order.
     """
-    state = initial_state(configs.space, configs)
-    groups = _groups_by_elimination(state, (feature,))
+    groups = _groups_by_elimination(initial_state(configs.space, configs), (feature,))
     if not groups:
         raise SemanticError("cannot expand fignore over an empty configuration set")
     # expansion formulas stay literal disjunctions so they are readable in specs
-    return product(JoinPhi(disj_all(state.meanings[i] for i in g)) for g in groups)
+    return product(JoinPhi(disj_all(configs.valuations[i].formula() for i in g)) for g in groups)
 
 
 # ---------------------------------------------------------------------------

@@ -51,29 +51,21 @@ def _parse_abs(text, space):
     return ab.parse_abstraction(text, space)
 
 
-def _rows(configs, stores, variables):
-    rows = []
-    for phi, store in zip(configs.formulas, stores):
-        rendered = featexp.render(phi, compact=True)
-        cells = ", ".join(f"{x}={render_value(store.get(x))}" for x in variables)
-        rows.append(f"{rendered}: {cells}")
-    return rows
+def _rows(labels, stores, variables):
+    return [
+        f"{label}: " + ", ".join(f"{x}={render_value(store.get(x))}" for x in variables)
+        for label, store in zip(labels, stores)
+    ]
 
 
-def _result_json(configs, stores, variables, renames):
+def _result_json(labels, stores, variables, renames):
     return {
-        "configs": [featexp.render(phi, compact=True) for phi in configs.formulas],
+        "configs": labels,
         "results": [
-            {
-                "config": featexp.render(phi, compact=True),
-                "store": {x: render_value(store.get(x)) for x in variables},
-            }
-            for phi, store in zip(configs.formulas, stores)
+            {"config": label, "store": {x: render_value(store.get(x)) for x in variables}}
+            for label, store in zip(labels, stores)
         ],
-        "renames": {
-            name: featexp.render(meaning, compact=True)
-            for name, meaning in renames.items()
-        },
+        "renames": renames,
     }
 
 
@@ -83,13 +75,16 @@ def cmd_analyze(args):
     configs = valid_configs(program.feature_model)
     variables = lang.program_vars(program)
     entry = entry_store(configs, lattice, args.init)
-    renames = {}
     if args.abs:
         alpha = _parse_abs(args.abs, program.feature_model.space)
         entry = ab.alpha_apply(alpha, configs, entry, lattice)
-        renames = ab.abstract_configs(
-            alpha, program.feature_model.space, configs
-        ).renames
+    # every result below is indexed by entry's configuration set: render it once
+    labels = [featexp.render(phi, compact=True) for phi in entry.configs.formulas]
+    renames = {
+        name: featexp.render(meaning(), compact=True)
+        for name, meaning in entry.configs.renames.items()
+        if args.format == "json"
+    }
     if args.dataflow:
         system = build_dataflow(program.body, configs=entry.configs, lattice=lattice)
         solution = solve_dataflow(system, entry)
@@ -98,8 +93,8 @@ def cmd_analyze(args):
                 "labels": {
                     str(label): {
                         "statement": type(system.statements[label]).__name__.lower(),
-                        "in": _result_json(inp.configs, inp.stores, variables, renames),
-                        "out": _result_json(out.configs, out.stores, variables, renames),
+                        "in": _result_json(labels, inp.stores, variables, renames),
+                        "out": _result_json(labels, out.stores, variables, renames),
                     }
                     for label, (inp, out) in sorted(solution.items())
                 }
@@ -110,9 +105,9 @@ def cmd_analyze(args):
                 inp, out = solution[label]
                 kind = type(system.statements[label]).__name__.lower()
                 print(f"label {label} ({kind})")
-                for row in _rows(inp.configs, inp.stores, variables):
+                for row in _rows(labels, inp.stores, variables):
                     print(f"  in  {row}")
-                for row in _rows(out.configs, out.stores, variables):
+                for row in _rows(labels, out.stores, variables):
                     print(f"  out {row}")
         return EXIT_OK
     if args.abs:
@@ -120,9 +115,9 @@ def cmd_analyze(args):
     else:
         result = analyze_lifted(program.body, entry)
     if args.format == "json":
-        print(json.dumps(_result_json(result.configs, result.stores, variables, renames), indent=2))
+        print(json.dumps(_result_json(labels, result.stores, variables, renames), indent=2))
     else:
-        for row in _rows(result.configs, result.stores, variables):
+        for row in _rows(labels, result.stores, variables):
             print(row)
     return EXIT_OK
 

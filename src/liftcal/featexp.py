@@ -4,7 +4,8 @@ A configuration set is decided on by its *covers*: each member is an `int`
 mask over the valid configurations of a feature model (its universe), bit i
 standing for the i-th valid configuration.  A formula becomes a mask by bit
 algebra over per-feature masks, which valid_configs builds once, so the
-analyses and abstractions never query a solver.
+analyses and abstractions never query a solver.  A member's formula only
+names it and is built when read; valid_configs builds none.
 
 Satisfiability and entailment of free-standing formulas are decided by
 brute-force enumeration of valuations over the features that actually occur
@@ -14,7 +15,9 @@ the property tests; it is capped at MAX_ENUM_FEATURES features per query.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import compress
 from itertools import product as _cartesian
 
 from .errors import ParseError, SemanticError, UndeclaredFeature
@@ -137,6 +140,11 @@ def disj_all(parts):
     """Disjunction of a sequence; empty disjunction is false."""
     parts = list(parts)
     return fold_balanced(parts, Or) if parts else FALSE
+
+
+def literal_conjunction(on, space):
+    """The configuration of space enabling exactly the features in `on`, as a formula."""
+    return conj_all(Atom(f) if f in on else Not(Atom(f)) for f in space.features)
 
 
 def features_of(phi):
@@ -384,11 +392,7 @@ class Config:
 
     def formula(self):
         """The canonical literal-conjunction form, in declaration order."""
-        literals = [
-            Atom(name) if value else Not(Atom(name))
-            for name, value in zip(self.space.features, self.values)
-        ]
-        return conj_all(literals)
+        return literal_conjunction(set(compress(self.space.features, self.values)), self.space)
 
 
 class Universe:
@@ -424,24 +428,26 @@ class Universe:
 class ConfigSet:
     """An ordered set of configurations over a feature space.
 
-    Each member has a cover: the mask of the universe's configurations it
-    stands for, which is all that the analyses and abstractions decide on.
-    The formulas only render members.  Concrete sets (from a feature model)
-    carry their valuations and cover one configuration each.  `hint`, when
-    present, is a compact formula equivalent to the disjunction of all
-    members; valid_configs sets it to the feature model itself so later joins
-    never materialize huge disjunctions.
+    Each member has a cover, the mask of the universe's configurations it
+    stands for; covers are all that the analyses and abstractions decide on,
+    and with the space (and a concrete set's valuations) the set's identity.
+    Concrete sets carry their valuations and cover one configuration each;
+    an abstraction's meaning view carries named valuations and renames
+    instead.  Formulas only render members and are built when read.  `hint`,
+    when present, is a compact formula equivalent to the disjunction of all
+    members, so joins never build huge disjunctions (valid_configs: the model).
     """
 
     space: FeatureSpace
-    formulas: tuple[FeatExp, ...]
-    covers: tuple[int, ...] = field(compare=False)
+    covers: tuple[int, ...]
     universe: Universe = field(compare=False)
     valuations: tuple[Config, ...] | None = None
-    hint: FeatExp | None = None
+    named: tuple[frozenset, ...] = field(default=(), compare=False)
+    renames: dict = field(default_factory=dict, compare=False)  # name -> () -> formula
+    hint_of: Callable[[], FeatExp | None] = field(default=lambda: None, compare=False)
 
     def __len__(self):
-        return len(self.formulas)
+        return len(self.covers)
 
     def __iter__(self):
         return iter(self.formulas)
@@ -450,39 +456,46 @@ class ConfigSet:
     def is_concrete(self):
         return self.valuations is not None
 
+    @property
+    def hint(self):
+        return self.hint_of()
+
+    @property
+    def formulas(self):
+        if self.valuations is not None:
+            return tuple(v.formula() for v in self.valuations)
+        return tuple(named_meaning(on, self.renames, self.space) for on in self.named)
+
     def mask(self, phi):
         """The configurations of the universe that satisfy phi."""
         return self.universe.mask(phi)
 
     def index_of(self, phi):
-        """Position of the member equivalent to phi; structural match tried first."""
-        for i, member in enumerate(self.formulas):
-            if member == phi:
-                return i
-        for i, member in enumerate(self.formulas):
-            if equiv(member, phi):
-                return i
-        raise SemanticError(f"no configuration equivalent to {render(phi)}")
+        """Position of the first member whose cover is the configurations satisfying phi."""
+        try:
+            return self.covers.index(self.mask(phi))
+        except ValueError:
+            raise SemanticError(f"no configuration equivalent to {render(phi)}") from None
 
-    def same_as(self, other):
-        if self is other:
-            return True
-        return (
-            self.space == other.space
-            and len(self) == len(other)
-            and all(a == b for a, b in zip(self.formulas, other.formulas))
-        )
+
+def named_meaning(on, renames, space):
+    """The formula over `space` of a member enabling the named features `on`.
+
+    A member enabling a renamed feature (at most one) means that feature's
+    formula, which renames[name]() builds; any other means its own literals.
+    """
+    fresh = [name for name in on if name in renames]
+    return renames[fresh[0]]() if fresh else literal_conjunction(on, space)
 
 
 def concrete_configs(space, valuations, hint=None):
     """The configuration set of explicit valuations, each its own universe bit."""
     return ConfigSet(
         space,
-        tuple(v.formula() for v in valuations),
         tuple(1 << i for i in range(len(valuations))),
         Universe(space, valuations),
         valuations,
-        hint,
+        hint_of=lambda: hint,
     )
 
 

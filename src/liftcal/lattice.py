@@ -279,7 +279,7 @@ class LiftedStore:
         return len(self.stores)
 
     def _check_match(self, other):
-        if not self.configs.same_as(other.configs):
+        if self.configs != other.configs:
             raise SemanticError("lifted stores are indexed by different configuration sets")
 
     def map(self, fn):
@@ -298,7 +298,7 @@ class LiftedStore:
         return self.with_stores(shared(Store.meet, self.stores, other.stores))
 
     def pi(self, phi):
-        """The component whose configuration is equivalent to phi."""
+        """The component whose configurations are exactly those satisfying phi."""
         return self.stores[self.configs.index_of(phi)]
 
     def with_stores(self, stores):

@@ -22,7 +22,8 @@ cover with the mask t of the configurations satisfying theta:
 
 A valid configuration covers one bit, so the lifted analysis never meets the
 mixed case.  An empty cover (a join that confounded nothing) counts as
-untouched, matching what its never-satisfied rewritten guard does.
+untouched, matching what its never-satisfied rewritten guard does.  Covers
+are all the engine reads of a configuration set; it builds no formula.
 
 Stores are shared: every per-component operation (assignment, join, the
 `#if` merge) runs once per distinct input store object and returns one
@@ -86,7 +87,7 @@ def merge_ifdef(cases, before, after):
 
 def analyze_expr_lifted(expr, store, configs=None):
     """Per-configuration expression values, as a tuple aligned with the configs."""
-    if configs is not None and not store.configs.same_as(configs):
+    if configs is not None and store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     return tuple(eval_expr(expr, s) for s in store.stores)
 
@@ -134,7 +135,7 @@ def analyze(stmt, store):
 
 def analyze_lifted(stmt, store, configs=None):
     """The lifted analysis over all configurations of the store at once."""
-    if configs is not None and not store.configs.same_as(configs):
+    if configs is not None and store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     return analyze(stmt, store)
 

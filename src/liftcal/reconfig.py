@@ -112,9 +112,9 @@ def _repair_stmt(stmt, repair):
     return stmt
 
 
-def _product_rewrite(sides, state):
+def _product_rewrite(sides):
     """Merge the rewritten sides of a product; returns the state and its walker."""
-    merged, positions = ab._product_merge([side for side, _ in sides], state.renames)
+    merged, positions = ab._product_merge([side for side, _ in sides])
     mask = valuations_masker(merged.named_vals)
     owns = [sum(1 << p for p in landed) for landed in positions]
     own_formulas = [
@@ -175,7 +175,7 @@ def _rewrite(alpha, state, alloc):
     if isinstance(alpha, (ab.Join, ab.GroupJoin)):
         indices = alpha.indices if isinstance(alpha, ab.GroupJoin) else range(len(state))
         new_state = ab._apply(alpha, state, alloc)
-        name = new_state.renames[-1][0]
+        name = new_state.space.features[0]
         return new_state, _join_walker([state.named_vals[i] for i in indices], name)
     if isinstance(alpha, ab.Proj):
         return ab._apply(alpha, state, alloc), _copy_walker
@@ -184,7 +184,7 @@ def _rewrite(alpha, state, alloc):
         out_state, outer_walk = _rewrite(alpha.outer, mid_state, alloc)
         return out_state, (lambda stmt: outer_walk(inner_walk(stmt)))
     if isinstance(alpha, ab.Product):
-        return _product_rewrite([_rewrite(part, state, alloc) for part in alpha.parts], state)
+        return _product_rewrite([_rewrite(part, state, alloc) for part in alpha.parts])
     raise TypeError(f"not an abstraction: {alpha!r}")
 
 
@@ -225,7 +225,7 @@ def reconfigure(program, alpha, simplify=False):
     new_program = lang.Program(
         FeatureModel(out_state.space, psi), lang.relabel(body)
     )
-    return new_program, dict(out_state.renames)
+    return new_program, {name: meaning() for name, meaning in out_state.renames.items()}
 
 
 def render_renames(renames):
@@ -233,29 +233,3 @@ def render_renames(renames):
     return "".join(
         f"{name} = {featexp.render(meaning)}\n" for name, meaning in renames.items()
     )
-
-
-def renamed_meaning(config, renames, original_space):
-    """The original-space meaning of a rewritten program's configuration.
-
-    Every configuration of a rewritten family enables at most one fresh
-    feature (joins introduce one name each and merges negate the other
-    side's); that name's recorded formula is the meaning.  A configuration
-    with no fresh feature enabled comes from a projection side and means its
-    own original-feature literals; the negated fresh features are merge
-    bookkeeping and carry no meaning.
-    """
-    positive = [
-        name for name in config.space.features
-        if name in renames and config[name]
-    ]
-    if len(positive) > 1:
-        raise SemanticError("configuration enables more than one fresh feature")
-    if positive:
-        return renames[positive[0]]
-    literals = []
-    for name in original_space.features:
-        if name not in config.space:
-            raise SemanticError(f"configuration does not cover feature {name}")
-        literals.append(Atom(name) if config[name] else Not(Atom(name)))
-    return featexp.conj_all(literals)

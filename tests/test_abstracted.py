@@ -295,3 +295,21 @@ def test_solver_equals_round_robin_reference(lattice):
             label: (i.stores, o.stores) for label, (i, o) in solution.items()
         } == expected, lang.pretty(program)
         checked += 1
+
+
+@pytest.mark.parametrize("spec", ["join", "proj(A1) || join(!A1)", "fignore(A1)"])
+def test_abstraction_pipeline_builds_no_configuration_formula(monkeypatch, spec):
+    # formulas only render rows: configurations, alpha, the analysis and
+    # gamma decide on covers alone
+    def refuse(config):
+        raise AssertionError("a configuration formula was built")
+
+    monkeypatch.setattr(fx.Config, "formula", refuse)
+    program = lang.parse_program(CHAIN_SOURCE)
+    configs = fx.valid_configs(program.feature_model)
+    alpha = ab.parse_abstraction(spec, program.feature_model.space)
+    entry = LiftedStore.top(configs, CONST)
+    abstract = ab.alpha_apply(alpha, configs, entry, CONST)
+    result = analyze_abstracted(program.body, abstract)
+    concrete = ab.gamma_apply(alpha, configs, result, CONST)
+    assert len(concrete) == 2048

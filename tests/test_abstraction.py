@@ -381,3 +381,12 @@ def test_covers_agree_with_meanings():
             for i in members:
                 expected = expected.join(store.stores[i])
             assert out.stores[k] == expected
+
+
+def test_meaning_views_are_identified_by_covers(space, configs):
+    # the same confounded configurations under differently built names
+    direct = ab.meaning_configs(ab.Join(), space, configs)
+    alpha = ab.parse_abstraction("(join(A) || join(!A)) >> join", space)
+    staged = ab.meaning_configs(alpha, space, configs)
+    assert [fx.render(f) for f in direct.formulas] != [fx.render(f) for f in staged.formulas]
+    assert direct == staged

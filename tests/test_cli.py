@@ -150,7 +150,7 @@ def test_cli_commutation(capsys, tmp_path, s2_file):
     renames = {}
     for line in renames_file.read_text().splitlines():
         name, _, meaning = line.partition(" = ")
-        renames[name] = fx.parse_featexp(meaning)
+        renames[name] = lambda text=meaning: fx.parse_featexp(text)
     direct_rows = {}
     for line in direct_out.splitlines():
         formula, _, cells = line.partition(": ")
@@ -158,12 +158,11 @@ def test_cli_commutation(capsys, tmp_path, s2_file):
     rewritten = lang.parse_program(out_file.read_text())
     original_space = lang.parse_program(S2_SOURCE).feature_model.space
     configs = fx.valid_configs(rewritten.feature_model)
-    from liftcal.reconfig import renamed_meaning
-
     matched = set()
     for line, config in zip(rewritten_out.splitlines(), configs.valuations):
         _, _, cells = line.partition(": ")
-        meaning = renamed_meaning(config, renames, original_space)
+        on = {name for name, value in config.as_dict().items() if value}
+        meaning = fx.named_meaning(on, renames, original_space)
         for phi, expected in direct_rows.items():
             if phi not in matched and fx.equiv(meaning, phi):
                 assert cells == expected
@@ -281,6 +280,22 @@ def test_deep_program_exits_2_without_traceback(capsys, tmp_path):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_join_of_wide_projection_product_renders(capsys, tmp_path):
+    # the join's label is the product's meaning hint, which must nest shallowly
+    names = ["A1", "A2", "A3", "A4"]
+    body = "; ".join(["x := 0"] + [f"#if ({name}) {{ x := x + 1 }}" for name in names])
+    family = tmp_path / "chain4.imp"
+    family.write_text(f"features {', '.join(names)}; model true; begin {body} end")
+    sides = " || ".join(["proj(A1) || proj(!A1)"] * 550)
+    spec = f"({sides}) >> join"
+    code, out, err = run(capsys, "analyze", str(family), "--abs", spec)
+    assert (code, err) == (0, "")
+    assert out.endswith(": x=top\n") and len(out.splitlines()) == 1
+    code, out, err = run(capsys, "reconfigure", str(family), "--abs", spec)
+    assert code == 0
+    assert err.startswith("Z1 = ") and len(err.splitlines()) == 1
 
 
 def run_module(*argv):

@@ -260,3 +260,14 @@ def test_eliminate_is_existential_quantification():
                 fx.eval_featexp(phi, {**w, "A": b}) for b in (True, False)
             )
             assert fx.eval_featexp(elim, {**w, "A": True}) == expected
+
+
+def test_config_sets_are_identified_by_configurations():
+    # the hint and the formulas only name a set; its configurations identify it
+    a_or_b = fx.valid_configs(fx.FeatureModel(AB, fx.parse_featexp("A | B", AB)))
+    b_or_a = fx.valid_configs(fx.FeatureModel(AB, fx.parse_featexp("B | A", AB)))
+    assert a_or_b == b_or_a
+    only_a = fx.valid_configs(fx.FeatureModel(AB, fx.Atom("A")))
+    only_b = fx.valid_configs(fx.FeatureModel(AB, fx.Atom("B")))
+    assert only_a.covers == only_b.covers
+    assert only_a != only_b

@@ -230,3 +230,16 @@ def test_shared_computes_once_per_distinct_input():
     # equal results from distinct inputs come back as one object
     assert out == (Store.top(CONST),) * 5
     assert all(s is out[0] for s in out)
+
+
+def test_pi_selects_by_configurations(s2, configs):
+    from liftcal.lattice import LiftedStore
+    from liftcal.lifted import analyze_lifted
+
+    # under the model A | B, !A holds in !A & B alone
+    result = analyze_lifted(s2.body, LiftedStore.top(configs, CONST))
+    component = result.pi(fx.parse_featexp("!A", configs.space))
+    assert component == result.pi(fx.parse_featexp("!A & B", configs.space))
+    assert component.get("x") == intval(-1)
+    with pytest.raises(SemanticError):
+        result.pi(fx.parse_featexp("A", configs.space))

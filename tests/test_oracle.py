@@ -150,6 +150,21 @@ def test_check_instance_targeted(s1, space):
     assert report.passed
 
 
+def test_check_instance_reconfigures_once(monkeypatch, s1, space):
+    # the rewritten family does not depend on the case
+    calls = []
+    reconfigure = oracle.reconfigure
+    monkeypatch.setattr(
+        oracle, "reconfigure", lambda *args: calls.append(args) or reconfigure(*args)
+    )
+    alpha = ab.parse_abstraction("proj(A) || join(!A)", space)
+    report = oracle.check_instance(s1, alpha, seed=4, cases=5)
+    assert len(calls) == 1
+    assert report.render_text() == (
+        "soundness: pass (5 cases)\ncommutation: pass (5 cases)\nall properties passed\n"
+    )
+
+
 def test_report_text_format():
     report = oracle.check_all(seed=6, cases=10)
     text = report.render_text()
