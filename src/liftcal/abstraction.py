@@ -10,16 +10,17 @@ An abstraction shrinks the configuration dimension of a lifted store:
     fignore(A)      merge configurations differing only on feature A
     fproj(A,...)    ignore a whole set of features
 
-Application computes the abstract configuration set only, in two views.  The
-*named* view is over the abstract feature space, where every join introduced
-a fresh feature Z naming the confounded disjunction; a named configuration
-is the set of its enabled features, all others false, so it reads the same
-over any wider space and the parallel-composition overlap test is a set
-lookup.  The *meaning* view gives each component its cover, the set of
-original valid configurations it stands for.  Its formulas over the original
-space are built when read (featexp.named_meaning): a component means the
-rename of the one fresh feature it enables, else its own literals.  Lifted
-stores produced here are indexed by the meaning view.
+Application computes the abstract configuration set only: one
+featexp.ConfigSet, read two ways.  By name, over the abstract feature space
+(`named_space`), where every join introduced a fresh feature Z naming the
+confounded disjunction; a named configuration (`named`) is the set of its
+enabled features, all others false, so it reads the same over any wider
+space and the parallel-composition overlap test is a set lookup.  By
+meaning, each component has its cover, the set of original valid
+configurations it stands for, and its formula over the original space is
+built when read (featexp.named_meaning): a component means the rename of the
+one fresh feature it enables, else its own literals.  Lifted stores produced
+here are indexed by that set.
 
 Every abstraction is a join over such covers, so alpha gives each component
 the join of the stores its cover holds, and gamma gives each configuration
@@ -28,9 +29,8 @@ the meet of the components that cover it (top where none does).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import compress
 
 from . import featexp
@@ -148,59 +148,39 @@ class NameAllocator:
 # Configuration bookkeeping
 
 
-@dataclass(frozen=True)
-class ConfigState:
-    """An abstract configuration set, threaded through application; formulas built on read."""
-
-    universe: featexp.Universe  # the original valid configurations
-    space: FeatureSpace
-    named_vals: tuple[frozenset, ...]  # enabled features of `space`, one per component
-    covers: tuple[int, ...]  # masks over `universe`, one per component
-    concrete: bool  # each component is still one original configuration
-    named_hint: Callable[[], featexp.FeatExp | None]  # compact disj(named), built once
-    meaning_hint: Callable[[], featexp.FeatExp | None]  # compact disj(meanings)
-    renames: dict[str, Callable[[], featexp.FeatExp]]  # fresh name -> its meaning, in order
-
-    def named_formula(self, i):
-        """Component i as a literal conjunction over the whole of `space`."""
-        return featexp.literal_conjunction(self.named_vals[i], self.space)
-
-    def __len__(self):
-        return len(self.named_vals)
-
-
-def initial_state(space, configs):
-    """Bookkeeping for an unabstracted, concrete configuration set."""
+def _concrete(configs):
     if configs.valuations is None:
         raise SemanticError("abstractions apply to concrete configuration sets")
-    return ConfigState(
-        universe=configs.universe,
-        space=space,
-        named_vals=tuple(frozenset(compress(space.features, c.values)) for c in configs.valuations),
-        covers=configs.covers,
-        concrete=True,
-        named_hint=configs.hint_of,
-        meaning_hint=configs.hint_of,
-        renames={},
+    return configs
+
+
+def _named_start(configs):
+    """A concrete set with its named view: each configuration names itself."""
+    space = _concrete(configs).space
+    return replace(
+        configs,
+        named=tuple(frozenset(compress(space.features, c.values)) for c in configs.valuations),
+        named_space=space,
+        named_hint_of=configs.hint_of,
     )
 
 
-def _select(state, phi):
+def _select(configs, phi):
     """Indices of components whose every configuration satisfies phi."""
-    rest = state.universe.full & ~state.universe.mask(phi)
-    return [i for i, cover in enumerate(state.covers) if not cover & rest]
+    rest = configs.universe.full & ~configs.mask(phi)
+    return [i for i, cover in enumerate(configs.covers) if not cover & rest]
 
 
-def _groups_by_elimination(state, features):
+def _groups_by_elimination(configs, features):
     """Partition component indices by equal covers once `features` are dropped.
 
     Two meanings are equivalent after eliminating the features exactly when
     their configurations agree on the remaining features.
     """
-    universe = state.universe
+    universe = configs.universe
     keep = [k for k, f in enumerate(universe.space.features) if f not in features]
     groups = {}
-    for i, cover in enumerate(state.covers):
+    for i, cover in enumerate(configs.covers):
         key = frozenset(
             tuple(universe.valuations[b].values[k] for k in keep)
             for b in bit_indices(cover)
@@ -209,51 +189,72 @@ def _groups_by_elimination(state, features):
     return list(groups.values())
 
 
-def _product_merge(states):
-    """Merge sibling states; returns (state, positions).
+def _product_merge(sides):
+    """Merge sibling sets; returns (set, positions).
 
     Components are taken side by side in order; one whose enabled named
     features equal an earlier component's is shared with it, otherwise it is
     appended.  positions[k][j] is where side k's j-th component landed.
     """
     features, index = {}, {}
-    named_vals, covers, positions = [], [], []
-    for side in states:
-        features.update(dict.fromkeys(side.space.features))
+    named, covers, positions = [], [], []
+    for side in sides:
+        features.update(dict.fromkeys(side.named_space.features))
         landed = []
-        for on, cover in zip(side.named_vals, side.covers):
+        for on, cover in zip(side.named, side.covers):
             if on not in index:
-                index[on] = len(named_vals)
-                named_vals.append(on)
+                index[on] = len(named)
+                named.append(on)
                 covers.append(cover)
             landed.append(index[on])
         positions.append(landed)
-    concrete = all(side.concrete for side in states)
-    merged = ConfigState(
-        universe=states[0].universe,
-        space=FeatureSpace(tuple(features)),
-        named_vals=tuple(named_vals),
-        covers=tuple(covers),
-        concrete=concrete,
-        named_hint=cache(lambda: _merged_named_hint(states)),
-        meaning_hint=(lambda: _merged_meaning_hint(states)) if concrete else lambda: None,
-        # each side's renames extend those of the common input state, in order
-        renames={name: m for side in states for name, m in side.renames.items()},
+    universe = sides[0].universe
+    concrete = all(side.is_concrete for side in sides)
+    # the hints close over the sides' hints, not the sides, so that a set
+    # keeps none of the sets it was merged from alive
+    hints = [side.hint_of for side in sides]
+    named_hints = [(side.named_space.features, side.named_hint_of) for side in sides]
+    merged = ConfigSet(
+        universe.space,
+        tuple(covers),
+        universe,
+        # a concrete component covers one configuration
+        tuple(universe.valuations[c.bit_length() - 1] for c in covers) if concrete else None,
+        tuple(named),
+        # each side's renames extend those of the common input set, in order
+        {name: m for side in sides for name, m in side.renames.items()},
+        (lambda: _merged_meaning_hint(hints)) if concrete else lambda: None,
+        FeatureSpace(tuple(features)),
+        _once(lambda: _merged_named_hint(named_hints)),
     )
     return merged, positions
 
 
-def _merged_meaning_hint(states):
+def _once(build):
+    """A thunk that calls build on first use, then keeps only its result."""
+    result = None
+
+    def get():
+        nonlocal build, result
+        if build is not None:
+            result, build = build(), None
+        return result
+
+    return get
+
+
+def _merged_meaning_hint(hint_ofs):
     """disj(meanings) of concrete sides, folded pairwise so it nests log n deep."""
-    hints = [side.meaning_hint() for side in states]
+    hints = [hint_of() for hint_of in hint_ofs]
     return None if None in hints else fold_balanced(hints, Or)
 
 
-def _merged_named_hint(states):
-    """disj(named) over the merged space: each side's hint with the features it
-    lacks negated, folded pairwise so that those negations stay O(n log n)."""
-    hints = [side.named_hint() for side in states]
-    if any(hint is None for hint in hints):
+def _merged_named_hint(named_hints):
+    """disj(named) over the merged space, from each side's (features, named hint):
+    each side's hint with the features it lacks negated, folded pairwise so that
+    those negations stay O(n log n)."""
+    parts = [(features, hint_of()) for features, hint_of in named_hints]
+    if any(hint is None for _, hint in parts):
         return None
 
     def merge(left, right):
@@ -263,54 +264,49 @@ def _merged_named_hint(states):
         rhint = conj_all([rhint] + [Not(Atom(f)) for f in lspace if f not in rset])
         return lspace + tuple(f for f in rspace if f not in lset), Or(lhint, rhint)
 
-    return fold_balanced(zip((s.space.features for s in states), hints), merge)[1]
+    return fold_balanced(parts, merge)[1]
 
 
 # ---------------------------------------------------------------------------
 # Application
 
 
-def _apply(alpha, state, alloc):
-    """The configuration state alpha makes of `state`."""
+def _apply(alpha, configs, alloc):
+    """The configuration set alpha makes of `configs`, in both views."""
     if isinstance(alpha, Join):
-        return _apply_group(range(len(state)), None, state, alloc)
+        return _apply_group(range(len(configs)), None, configs, alloc)
     if isinstance(alpha, JoinPhi):
-        indices = _select(state, alpha.phi) if alpha.phi != TRUE else range(len(state))
-        return _apply_group(indices, alpha.phi, state, alloc)
+        indices = _select(configs, alpha.phi) if alpha.phi != TRUE else range(len(configs))
+        return _apply_group(indices, alpha.phi, configs, alloc)
     if isinstance(alpha, GroupJoin):
-        return _apply_group(alpha.indices, None, state, alloc)
+        return _apply_group(alpha.indices, None, configs, alloc)
     if isinstance(alpha, Proj):
-        indices = _select(state, alpha.phi)
-        return ConfigState(
-            universe=state.universe,
-            space=state.space,
-            named_vals=tuple(state.named_vals[i] for i in indices),
-            covers=tuple(state.covers[i] for i in indices),
-            concrete=state.concrete,
-            named_hint=(
-                cache(lambda: _conj_hint(state.named_hint(), alpha.phi))
-                if state.concrete
-                else lambda: None
-            ),
-            meaning_hint=(
-                (lambda: _conj_hint(state.meaning_hint(), alpha.phi))
-                if state.concrete
-                else lambda: None
-            ),
-            renames=state.renames,
+        indices = _select(configs, alpha.phi)
+        concrete = configs.is_concrete
+        hint_of, named_hint_of, phi = configs.hint_of, configs.named_hint_of, alpha.phi
+        return ConfigSet(
+            configs.space,
+            tuple(configs.covers[i] for i in indices),
+            configs.universe,
+            tuple(configs.valuations[i] for i in indices) if concrete else None,
+            tuple(configs.named[i] for i in indices),
+            configs.renames,
+            (lambda: _conj_hint(hint_of(), phi)) if concrete else lambda: None,
+            configs.named_space,
+            _once(lambda: _conj_hint(named_hint_of(), phi)) if concrete else lambda: None,
         )
     if isinstance(alpha, Compose):
-        return _apply(alpha.outer, _apply(alpha.inner, state, alloc), alloc)
+        return _apply(alpha.outer, _apply(alpha.inner, configs, alloc), alloc)
     if isinstance(alpha, Product):
-        sides = [_apply(part, state, alloc) for part in alpha.parts]
+        sides = [_apply(part, configs, alloc) for part in alpha.parts]
         return _product_merge(sides)[0]
     if isinstance(alpha, FIgnore):
-        expansion = _fignore_fold(state, alpha.feature)
+        expansion = _fignore_fold(configs, alpha.feature)
         if expansion is None:
-            return _empty_state(state)
-        return _apply(expansion, state, alloc)
+            return _empty_set(configs)
+        return _apply(expansion, configs, alloc)
     if isinstance(alpha, FProj):
-        return _apply(_fproj_chain(alpha), state, alloc)
+        return _apply(_fproj_chain(alpha), configs, alloc)
     raise TypeError(f"not an abstraction: {alpha!r}")
 
 
@@ -322,28 +318,27 @@ def _fproj_chain(alpha):
     return out
 
 
-def _fignore_fold(state, feature):
+def _fignore_fold(configs, feature):
     """The product of exact group joins that realizes ignoring one feature."""
-    if feature not in state.universe.space:
+    if feature not in configs.universe.space:
         raise SemanticError(f"cannot ignore undeclared feature {feature}")
-    groups = _groups_by_elimination(state, (feature,))
+    groups = _groups_by_elimination(configs, (feature,))
     if not groups:
         return None
     return product(GroupJoin(tuple(group)) for group in groups)
 
 
-def _empty_state(state):
-    # ignoring features of nothing: no components, but the feature space
-    # stays so that guards already rewritten over it remain evaluable
-    return ConfigState(
-        universe=state.universe,
-        space=state.space,
-        named_vals=(),
-        covers=(),
-        concrete=False,
-        named_hint=lambda: FALSE,
-        meaning_hint=lambda: FALSE,
-        renames=state.renames,
+def _empty_set(configs):
+    # ignoring features of nothing: no components, but the named space stays
+    # so that guards already rewritten over it remain evaluable
+    return ConfigSet(
+        configs.space,
+        (),
+        configs.universe,
+        renames=configs.renames,
+        hint_of=lambda: FALSE,
+        named_space=configs.named_space,
+        named_hint_of=lambda: FALSE,
     )
 
 
@@ -355,40 +350,40 @@ def _conj_hint(hint, phi):
     return And(hint, phi)
 
 
-def _apply_group(indices, phi, state, alloc):
+def _apply_group(indices, phi, configs, alloc):
     """Confound the selected components into one fresh-named component."""
     name = alloc.fresh()
     cover = 0
     for i in indices:
-        cover |= state.covers[i]
-    meaning = partial(_group_meaning, indices, phi, state)
-    return ConfigState(
-        universe=state.universe,
-        space=FeatureSpace((name,)),
-        named_vals=(frozenset((name,)),),
-        covers=(cover,),
-        concrete=False,
-        named_hint=lambda: Atom(name),
-        meaning_hint=meaning,
-        renames={**state.renames, name: meaning},
+        cover |= configs.covers[i]
+    meaning = partial(_group_meaning, indices, phi, configs)
+    return ConfigSet(
+        configs.space,
+        (cover,),
+        configs.universe,
+        named=(frozenset((name,)),),
+        renames={**configs.renames, name: meaning},
+        hint_of=meaning,
+        named_space=FeatureSpace((name,)),
+        named_hint_of=lambda: Atom(name),
     )
 
 
-def _group_meaning(indices, phi, state):
+def _group_meaning(indices, phi, configs):
     """The formula a join names: the disjunction of the selected components, kept
-    compact through the state's hint (and the selection formula phi) where known."""
-    if phi is not None and state.concrete:
-        hint = _conj_hint(state.meaning_hint(), phi)
+    compact through the set's hint (and the selection formula phi) where known."""
+    if phi is not None and configs.is_concrete:
+        hint = _conj_hint(configs.hint, phi)
         if hint is not None:
             return hint
     if not indices:
         return FALSE
-    if len(indices) == len(state):
-        hint = state.meaning_hint()
+    if len(indices) == len(configs):
+        hint = configs.hint
         if hint is not None:
             return hint
-    space = state.universe.space
-    return disj_all(named_meaning(state.named_vals[i], state.renames, space) for i in indices)
+    renames, space = configs.renames, configs.space
+    return disj_all(named_meaning(configs.named[i], renames, space) for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -414,44 +409,24 @@ class AbstractedConfigs:
         return {name: meaning() for name, meaning in self.meaning_view.renames.items()}
 
 
-def _abstract_state(alpha, configs):
-    state = initial_state(configs.space, configs)
-    return _apply(alpha, state, NameAllocator(configs.space.features))
+def meaning_configs(alpha, space, configs):
+    """The configuration set alpha makes of `configs`, indexed over the original space."""
+    return _apply(alpha, _named_start(configs), NameAllocator(configs.space.features))
 
 
 def abstract_configs(alpha, space, configs):
     """The abstract feature space and configuration set induced by alpha."""
-    state = _abstract_state(alpha, configs)
+    out = meaning_configs(alpha, space, configs)
+    named_space = out.named_space
     valuations = tuple(
-        featexp.Config(state.space, tuple(f in on for f in state.space.features))
-        for on in state.named_vals
+        featexp.Config(named_space, tuple(f in on for f in named_space.features))
+        for on in out.named
     )
     return AbstractedConfigs(
-        space=state.space,
-        configs=featexp.concrete_configs(state.space, valuations, state.named_hint()),
-        meaning_view=_meaning_configset(state),
+        space=named_space,
+        configs=featexp.concrete_configs(named_space, valuations, out.named_hint_of()),
+        meaning_view=out,
     )
-
-
-def _meaning_configset(state):
-    universe = state.universe
-    valuations = None
-    if state.concrete:
-        valuations = tuple(universe.valuations[c.bit_length() - 1] for c in state.covers)
-    return ConfigSet(
-        universe.space,
-        state.covers,
-        universe,
-        valuations,
-        state.named_vals,
-        state.renames,
-        state.meaning_hint,
-    )
-
-
-def meaning_configs(alpha, space, configs):
-    """The meaning view of alpha's output, as a ConfigSet over the original space."""
-    return _meaning_configset(_abstract_state(alpha, configs))
 
 
 def _infer_lattice(store, lattice):
@@ -462,32 +437,29 @@ def _infer_lattice(store, lattice):
     return CONST
 
 
-def _stores_by_bit(store):
-    # concrete configurations cover one universe bit each
-    return {c.bit_length() - 1: s for c, s in zip(store.configs.covers, store.stores)}
-
-
 def alpha_apply(alpha, configs, store, lattice=None):
     """Abstract a lifted store; the result is indexed by the meaning view.
 
-    Each component is the join of the stores of the configurations it covers.
+    Each component is the join of the distinct stores of the configurations
+    it covers, each store object joined once.
     """
     if store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
-    state = _abstract_state(alpha, configs)
-    at = _stores_by_bit(store)
+    out_configs = meaning_configs(alpha, configs.space, configs)
+    # concrete configurations cover one universe bit each
+    at = {c.bit_length() - 1: s for c, s in zip(configs.covers, store.stores)}
     out = []
-    for cover in state.covers:
-        bits = bit_indices(cover)
-        if len(bits) == 1:
-            out.append(at[bits[0]])
+    for cover in out_configs.covers:
+        stores = list({id(s): s for s in map(at.__getitem__, bit_indices(cover))}.values())
+        if len(stores) == 1:
+            out.append(stores[0])
             continue
         joined = Store.bot(lattice)
-        for b in bits:
-            joined = joined.join(at[b])
+        for s in stores:
+            joined = joined.join(s)
         out.append(joined)
-    return LiftedStore(_meaning_configset(state), tuple(out))
+    return LiftedStore(out_configs, tuple(out))
 
 
 def gamma_apply(alpha, configs, store, lattice=None):
@@ -497,13 +469,13 @@ def gamma_apply(alpha, configs, store, lattice=None):
     when none does.
     """
     lattice = _infer_lattice(store, lattice)
-    state = _abstract_state(alpha, configs)
-    if len(store) != len(state):
+    covers = meaning_configs(alpha, configs.space, configs).covers
+    if len(store) != len(covers):
         raise SemanticError(
-            f"abstract store has {len(store)} components, expected {len(state)}"
+            f"abstract store has {len(store)} components, expected {len(covers)}"
         )
     met = {}
-    for cover, d in zip(state.covers, store.stores):
+    for cover, d in zip(covers, store.stores):
         for b in bit_indices(cover):
             met[b] = met[b].meet(d) if b in met else d
     top = Store.top(lattice)
@@ -518,7 +490,7 @@ def fignore_expand(feature, configs):
     Groups the configurations by equivalence after eliminating the feature and
     returns JoinPhi(g1) || JoinPhi(g2) || ... in first-member order.
     """
-    groups = _groups_by_elimination(initial_state(configs.space, configs), (feature,))
+    groups = _groups_by_elimination(_concrete(configs), (feature,))
     if not groups:
         raise SemanticError("cannot expand fignore over an empty configuration set")
     # expansion formulas stay literal disjunctions so they are readable in specs

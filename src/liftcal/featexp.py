@@ -4,8 +4,10 @@ A configuration set is decided on by its *covers*: each member is an `int`
 mask over the valid configurations of a feature model (its universe), bit i
 standing for the i-th valid configuration.  A formula becomes a mask by bit
 algebra over per-feature masks, which valid_configs builds once, so the
-analyses and abstractions never query a solver.  A member's formula only
-names it and is built when read; valid_configs builds none.
+analyses and abstractions never query a solver.  One ConfigSet type carries
+both views an abstraction has of its output: by meaning over the original
+features and by name over the abstract ones.  A member's formula only names
+it and is built when read; valid_configs builds none.
 
 Satisfiability and entailment of free-standing formulas are decided by
 brute-force enumeration of valuations over the features that actually occur
@@ -426,16 +428,20 @@ class Universe:
 
 @dataclass(frozen=True)
 class ConfigSet:
-    """An ordered set of configurations over a feature space.
+    """An ordered set of configurations, read by meaning and, once abstracted, by name.
 
     Each member has a cover, the mask of the universe's configurations it
     stands for; covers are all that the analyses and abstractions decide on,
     and with the space (and a concrete set's valuations) the set's identity.
-    Concrete sets carry their valuations and cover one configuration each;
-    an abstraction's meaning view carries named valuations and renames
-    instead.  Formulas only render members and are built when read.  `hint`,
-    when present, is a compact formula equivalent to the disjunction of all
-    members, so joins never build huge disjunctions (valid_configs: the model).
+    Concrete sets carry their valuations and cover one configuration each.
+    The meaning view is over `space`, the original features: a member's
+    formula is built when read, from its valuation or else from its named
+    valuation and the renames.  The named view, which an abstraction adds,
+    is over `named_space`: `named` holds each member's enabled features of
+    it, all others false.  `hint_of` and `named_hint_of`, when they give a
+    formula, give a compact one equivalent to the disjunction of all
+    members in that view, so joins never build huge disjunctions
+    (valid_configs: the model).
     """
 
     space: FeatureSpace
@@ -445,6 +451,8 @@ class ConfigSet:
     named: tuple[frozenset, ...] = field(default=(), compare=False)
     renames: dict = field(default_factory=dict, compare=False)  # name -> () -> formula
     hint_of: Callable[[], FeatExp | None] = field(default=lambda: None, compare=False)
+    named_space: FeatureSpace | None = field(default=None, compare=False)
+    named_hint_of: Callable[[], FeatExp | None] = field(default=lambda: None, compare=False)
 
     def __len__(self):
         return len(self.covers)
@@ -465,6 +473,10 @@ class ConfigSet:
         if self.valuations is not None:
             return tuple(v.formula() for v in self.valuations)
         return tuple(named_meaning(on, self.renames, self.space) for on in self.named)
+
+    def named_formula(self, i):
+        """Member i by name, as a literal conjunction over the whole named space."""
+        return literal_conjunction(self.named[i], self.named_space)
 
     def mask(self, phi):
         """The configurations of the universe that satisfy phi."""

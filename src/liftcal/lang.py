@@ -132,17 +132,18 @@ def children(stmt):
     return ()
 
 
-def _with_children(stmt, new_children):
+def with_children(stmt, new_children):
+    """stmt with its children (in `children` order) replaced, label kept."""
     if isinstance(stmt, Seq):
-        return replace(stmt, first=new_children[0], second=new_children[1])
+        return Seq(*new_children, stmt.label)
     if isinstance(stmt, If):
-        return replace(stmt, then=new_children[0], orelse=new_children[1])
+        return If(stmt.cond, *new_children, stmt.label)
     if isinstance(stmt, While):
-        return replace(stmt, body=new_children[0])
+        return While(stmt.cond, *new_children, stmt.label)
     if isinstance(stmt, IfDef):
-        return replace(stmt, body=new_children[0])
+        return IfDef(stmt.cond, *new_children, stmt.label)
     if isinstance(stmt, Lub):
-        return replace(stmt, left=new_children[0], right=new_children[1])
+        return Lub(*new_children, stmt.label)
     return stmt
 
 
@@ -156,7 +157,7 @@ def relabel(stmt):
         node = replace(node, label=label)
         kids = children(node)
         if kids:
-            node = _with_children(node, tuple(go(kid) for kid in kids))
+            node = with_children(node, tuple(go(kid) for kid in kids))
         return node
 
     return go(stmt)
@@ -180,7 +181,7 @@ def strip_labels(stmt):
     node = replace(stmt, label=-1)
     kids = children(node)
     if kids:
-        node = _with_children(node, tuple(strip_labels(kid) for kid in kids))
+        node = with_children(node, tuple(strip_labels(kid) for kid in kids))
     return node
 
 
@@ -234,7 +235,12 @@ def _parse_expr(cur):
         tok = cur.current
         if tok.kind == "num":
             cur.advance()
-            return Num(int(tok.text))
+            try:
+                return Num(int(tok.text))
+            except ValueError:  # past Python's digit limit, or non-ASCII digits
+                raise ParseError(
+                    f"cannot read integer literal of {len(tok.text)} digits", tok.line, tok.col
+                ) from None
         if tok.kind == "ident":
             cur.advance()
             return Var(tok.text)
@@ -387,27 +393,28 @@ def pretty(program):
 
 
 def preprocess(program, config):
-    """Resolve every #if under a valid configuration; the result has no IfDef.
-
-    Each `#if (theta) s` is replaced by the preprocessed s when the
-    configuration satisfies theta, and by skip otherwise.
-    """
+    """Resolve every #if under a valid configuration; the result has no IfDef."""
     psi = program.feature_model.psi
     if not featexp.eval_featexp(psi, config.as_dict()):
         raise SemanticError("configuration does not satisfy the feature model")
-    assignment = config.as_dict()
+    return relabel(resolve_ifdefs(program.body, config.as_dict()))
 
-    def go(stmt):
-        if isinstance(stmt, IfDef):
-            if featexp.eval_featexp(stmt.cond, assignment):
-                return go(stmt.body)
+
+def resolve_ifdefs(stmt, assignment):
+    """stmt with each `#if (theta) s` replaced by the resolved s when the
+    assignment satisfies theta, and by skip otherwise."""
+
+    def go(node):
+        if isinstance(node, IfDef):
+            if featexp.eval_featexp(node.cond, assignment):
+                return go(node.body)
             return Skip()
-        kids = children(stmt)
+        kids = children(node)
         if kids:
-            return _with_children(stmt, tuple(go(kid) for kid in kids))
-        return stmt
+            return with_children(node, tuple(go(kid) for kid in kids))
+        return node
 
-    return relabel(go(program.body))
+    return go(stmt)
 
 
 def stmt_vars(stmt):

@@ -32,8 +32,14 @@ LEQ0 = Val(_LEQ0)
 GEQ0 = Val(_GEQ0)
 
 
+# Integers wider than this widen to top.  That is sound, keeps arithmetic on
+# repeated squaring bounded, and keeps every integer printable.
+MAX_INT_BITS = 4096
+
+
 def intval(n):
-    return Val(_INT, n)
+    """The constant n, or top when n needs more than MAX_INT_BITS bits."""
+    return Val(_INT, n) if n.bit_length() <= MAX_INT_BITS else TOP
 
 
 def render_value(v):

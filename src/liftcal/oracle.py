@@ -317,7 +317,7 @@ def _skip_variants(stmt):
             def rebuild_kid(new, i=i, node=node, kids=kids, rebuild=rebuild):
                 fresh = list(kids)
                 fresh[i] = new
-                return rebuild(lang._with_children(node, tuple(fresh)))
+                return rebuild(lang.with_children(node, tuple(fresh)))
 
             go(kid, rebuild_kid)
 

@@ -31,7 +31,7 @@ from functools import cache
 from . import abstraction as ab
 from . import featexp, lang
 from .errors import SemanticError
-from .featexp import FALSE, And, Atom, FeatureModel, Not, disj_all, equiv, eval_featexp
+from .featexp import FALSE, And, Atom, FeatureModel, Not, disj_all, equiv
 from .featexp import valuations_masker
 
 
@@ -70,15 +70,8 @@ def _copy_walker(stmt):
 
 
 def _walk_compound(stmt, walk):
-    if isinstance(stmt, lang.Seq):
-        return lang.Seq(walk(stmt.first), walk(stmt.second))
-    if isinstance(stmt, lang.If):
-        return lang.If(stmt.cond, walk(stmt.then), walk(stmt.orelse))
-    if isinstance(stmt, lang.While):
-        return lang.While(stmt.cond, walk(stmt.body))
-    if isinstance(stmt, lang.Lub):
-        return lang.Lub(walk(stmt.left), walk(stmt.right))
-    return stmt  # skip, assign
+    kids = lang.children(stmt)
+    return lang.with_children(stmt, tuple(map(walk, kids))) if kids else stmt
 
 
 def _join_walker(group_vals, name):
@@ -113,9 +106,9 @@ def _repair_stmt(stmt, repair):
 
 
 def _product_rewrite(sides):
-    """Merge the rewritten sides of a product; returns the state and its walker."""
+    """Merge the rewritten sides of a product; returns the set and its walker."""
     merged, positions = ab._product_merge([side for side, _ in sides])
-    mask = valuations_masker(merged.named_vals)
+    mask = valuations_masker(merged.named)
     owns = [sum(1 << p for p in landed) for landed in positions]
     own_formulas = [
         cache(lambda landed=landed: disj_all(merged.named_formula(p) for p in sorted(landed)))
@@ -161,44 +154,31 @@ def _product_rewrite(sides):
     return merged, walk
 
 
-def _rewrite(alpha, state, alloc):
-    """Returns the transformed config state and a statement transformer."""
+def _rewrite(alpha, configs, alloc):
+    """Returns the configuration set alpha makes of `configs` and a statement transformer."""
     if isinstance(alpha, ab.JoinPhi):
-        return _rewrite(ab.Compose(ab.Join(), ab.Proj(alpha.phi)), state, alloc)
+        return _rewrite(ab.Compose(ab.Join(), ab.Proj(alpha.phi)), configs, alloc)
     if isinstance(alpha, ab.FIgnore):
-        expansion = ab._fignore_fold(state, alpha.feature)
+        expansion = ab._fignore_fold(configs, alpha.feature)
         if expansion is None:
-            return ab._empty_state(state), _copy_walker
-        return _rewrite(expansion, state, alloc)
+            return ab._empty_set(configs), _copy_walker
+        return _rewrite(expansion, configs, alloc)
     if isinstance(alpha, ab.FProj):
-        return _rewrite(ab._fproj_chain(alpha), state, alloc)
+        return _rewrite(ab._fproj_chain(alpha), configs, alloc)
     if isinstance(alpha, (ab.Join, ab.GroupJoin)):
-        indices = alpha.indices if isinstance(alpha, ab.GroupJoin) else range(len(state))
-        new_state = ab._apply(alpha, state, alloc)
-        name = new_state.space.features[0]
-        return new_state, _join_walker([state.named_vals[i] for i in indices], name)
+        indices = alpha.indices if isinstance(alpha, ab.GroupJoin) else range(len(configs))
+        out = ab._apply(alpha, configs, alloc)
+        name = out.named_space.features[0]
+        return out, _join_walker([configs.named[i] for i in indices], name)
     if isinstance(alpha, ab.Proj):
-        return ab._apply(alpha, state, alloc), _copy_walker
+        return ab._apply(alpha, configs, alloc), _copy_walker
     if isinstance(alpha, ab.Compose):
-        mid_state, inner_walk = _rewrite(alpha.inner, state, alloc)
-        out_state, outer_walk = _rewrite(alpha.outer, mid_state, alloc)
-        return out_state, (lambda stmt: outer_walk(inner_walk(stmt)))
+        mid, inner_walk = _rewrite(alpha.inner, configs, alloc)
+        out, outer_walk = _rewrite(alpha.outer, mid, alloc)
+        return out, (lambda stmt: outer_walk(inner_walk(stmt)))
     if isinstance(alpha, ab.Product):
-        return _product_rewrite([_rewrite(part, state, alloc) for part in alpha.parts])
+        return _product_rewrite([_rewrite(part, configs, alloc) for part in alpha.parts])
     raise TypeError(f"not an abstraction: {alpha!r}")
-
-
-def _simplify_single(stmt, assignment):
-    """Drop statically decided #if guards when only one configuration remains."""
-
-    def walk(node):
-        if isinstance(node, lang.IfDef):
-            if eval_featexp(node.cond, assignment):
-                return walk(node.body)
-            return lang.Skip()
-        return _walk_compound(node, walk)
-
-    return walk(stmt)
 
 
 def reconfigure(program, alpha, simplify=False):
@@ -210,22 +190,20 @@ def reconfigure(program, alpha, simplify=False):
     """
     space = program.feature_model.space
     configs = featexp.valid_configs(program.feature_model)
-    state = ab.initial_state(space, configs)
     alloc = ab.NameAllocator(set(space.features))
-    out_state, walk = _rewrite(alpha, state, alloc)
+    out, walk = _rewrite(alpha, ab._named_start(configs), alloc)
     body = walk(program.body)
     if simplify:
-        if len(out_state) != 1:
+        # one configuration left: its #if guards are statically decided
+        if len(out) != 1:
             raise SemanticError("--simplify requires a single remaining configuration")
-        on = out_state.named_vals[0]
-        body = _simplify_single(body, {f: f in on for f in out_state.space.features})
-    psi = out_state.named_hint()
+        on = out.named[0]
+        body = lang.resolve_ifdefs(body, {f: f in on for f in out.named_space.features})
+    psi = out.named_hint_of()
     if psi is None:
-        psi = disj_all(out_state.named_formula(i) for i in range(len(out_state)))
-    new_program = lang.Program(
-        FeatureModel(out_state.space, psi), lang.relabel(body)
-    )
-    return new_program, {name: meaning() for name, meaning in out_state.renames.items()}
+        psi = disj_all(out.named_formula(i) for i in range(len(out)))
+    new_program = lang.Program(FeatureModel(out.named_space, psi), lang.relabel(body))
+    return new_program, {name: meaning() for name, meaning in out.renames.items()}
 
 
 def render_renames(renames):

@@ -1,13 +1,18 @@
 """The abstraction calculus: construction, alpha/gamma, derived operators."""
 
+from itertools import compress
+
 import pytest
 
 from liftcal import abstraction as ab
 from liftcal import featexp as fx
+from liftcal import lang
 from liftcal.errors import SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_lifted
 from liftcal.oracle import CaseGen, gen_lifted, gen_random_abstraction, gen_random_program
+
+from conftest import CHAIN_SOURCE
 
 
 def store_values(lifted):
@@ -390,3 +395,39 @@ def test_meaning_views_are_identified_by_covers(space, configs):
     staged = ab.meaning_configs(alpha, space, configs)
     assert [fx.render(f) for f in direct.formulas] != [fx.render(f) for f in staged.formulas]
     assert direct == staged
+
+
+def test_one_view_reads_by_meaning_and_by_name():
+    # an abstraction makes one configuration set: alpha indexes its output by
+    # it, and abstract_configs reads the same set by meaning and by name
+    gen = CaseGen(17)
+    for _ in range(300):
+        program = gen_random_program(gen)
+        space = program.feature_model.space
+        configs = fx.valid_configs(program.feature_model)
+        alpha = gen_random_abstraction(gen, space)
+        view = ab.meaning_configs(alpha, space, configs)
+        out = ab.alpha_apply(alpha, configs, LiftedStore.top(configs, CONST))
+        info = ab.abstract_configs(alpha, space, configs)
+        assert view == out.configs == info.meaning_view
+        assert view.named_space == info.space
+        assert list(view.named) == [
+            frozenset(compress(info.space.features, config.values))
+            for config in info.configs.valuations
+        ]
+        assert [fx.render(view.named_formula(i)) for i in range(len(view))] == [
+            fx.render(phi) for phi in info.configs.formulas
+        ]
+
+
+def test_alpha_joins_each_distinct_store_once(monkeypatch):
+    # 2048 configurations hold 12 distinct stores
+    program = lang.parse_program(CHAIN_SOURCE)
+    configs = fx.valid_configs(program.feature_model)
+    lifted = analyze_lifted(program.body, LiftedStore.top(configs, CONST))
+    joins = []
+    join = Store.join
+    monkeypatch.setattr(Store, "join", lambda self, other: joins.append(1) or join(self, other))
+    out = ab.alpha_apply(ab.Join(), configs, lifted)
+    assert len(joins) <= 12
+    assert store_values(out) == [TOP]

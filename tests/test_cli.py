@@ -282,6 +282,23 @@ def test_deep_program_exits_2_without_traceback(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_repeated_squaring_widens_to_top(capsys, tmp_path):
+    family = tmp_path / "square.imp"
+    body = "; ".join(["x := 2"] + ["x := x * x"] * 14)
+    family.write_text(f"features A; model true; begin {body} end")
+    code, out, err = run(capsys, "analyze", str(family))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["A: x=top", "!A: x=top"]
+
+
+def test_unreadable_integer_literal_exits_1(capsys, tmp_path):
+    family = tmp_path / "long.imp"
+    family.write_text(f"features A; model true; begin x := {'7' * 5000} end")
+    code, out, err = run(capsys, "analyze", str(family))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_join_of_wide_projection_product_renders(capsys, tmp_path):
     # the join's label is the product's meaning hint, which must nest shallowly
     names = ["A1", "A2", "A3", "A4"]

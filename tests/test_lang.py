@@ -50,6 +50,15 @@ def test_parse_syntax_error_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("literal", ["7" * 5000, "\u00b2"], ids=["5000-digits", "superscript"])
+def test_unreadable_integer_literal_is_a_parse_error(literal):
+    # Python refuses to convert over 4300 digits, and the lexer's digits
+    # include non-ASCII ones that int() rejects
+    with pytest.raises(ParseError) as exc:
+        lang.parse_program(f"features A; model true;\nbegin x := {literal} end")
+    assert exc.value.line == 2
+
+
 def test_labels_are_preorder_dense(s1):
     labels = labels_in_preorder(s1.body)
     assert labels == list(range(len(labels)))

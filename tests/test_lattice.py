@@ -10,6 +10,7 @@ from liftcal.lattice import (
     CONST_PLUS,
     GEQ0,
     LEQ0,
+    MAX_INT_BITS,
     TOP,
     LiftedStore,
     Store,
@@ -243,3 +244,14 @@ def test_pi_selects_by_configurations(s2, configs):
     assert component.get("x") == intval(-1)
     with pytest.raises(SemanticError):
         result.pi(fx.parse_featexp("A", configs.space))
+
+
+def test_integers_wider_than_the_cap_widen_to_top():
+    widest = (1 << MAX_INT_BITS) - 1
+    assert intval(widest).n == widest
+    assert intval(-widest).n == -widest
+    assert intval(widest + 1) == TOP
+    assert intval(-widest - 1) == TOP
+    for lattice in (CONST, CONST_PLUS):
+        assert lattice.binop("*", intval(widest), intval(widest)) == TOP
+        assert lattice.binop("-", intval(-widest), intval(widest)) == TOP
