@@ -19,7 +19,6 @@ from .abstraction import (
     abstract_configs,
     alpha_apply,
     fignore_expand,
-    fresh_feature,
     gamma_apply,
     parse_abstraction,
 )
@@ -41,7 +40,7 @@ from .lang import Program, parse_program, preprocess, pretty, program_vars
 from .lattice import CONST, CONST_PLUS, LiftedStore, Store
 from .lifted import analyze_lifted, analyze_single
 from .abstracted import analyze_abstracted, build_dataflow, solve_dataflow
-from .reconfig import make_lub, reconfigure
+from .reconfig import reconfigure
 from .oracle import brute_force_lifted
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,30 +10,55 @@ An abstraction shrinks the configuration dimension of a lifted store:
     fignore(A)      merge configurations differing only on feature A
     fproj(A,...)    ignore a whole set of features
 
-Application computes the abstract configuration set only: one
-featexp.ConfigSet, read two ways.  By name, over the abstract feature space
-(`named_space`), where every join introduced a fresh feature Z naming the
-confounded disjunction; a named configuration (`named`) is the set of its
-enabled features, all others false, so it reads the same over any wider
-space and the parallel-composition overlap test is a set lookup.  By
+Application (`apply`) walks the abstraction tree once and yields two things:
+the abstract configuration set and the rewrite of the family's statements
+that the reconfigurator applies.
+
+The set is one featexp.ConfigSet, read two ways.  By name, over the abstract
+feature space (`named_space`), where every join introduced a fresh feature Z
+naming the confounded disjunction; a named configuration (`named`) is the
+set of its enabled features, all others false, so it reads the same over any
+wider space and the parallel-composition overlap test is a set lookup.  By
 meaning, each component has its cover, the set of original valid
 configurations it stands for, and its formula over the original space is
 built when read (featexp.named_meaning): a component means the rename of the
-one fresh feature it enables, else its own literals.  Lifted stores produced
-here are indexed by that set.
+one fresh feature it enables, else its own literals; a join of no component
+means false.  Lifted stores produced here are indexed by that set.
 
 Every abstraction is a join over such covers, so alpha gives each component
 the join of the stores its cover holds, and gamma gives each configuration
-the meet of the components that cover it (top where none does).
+the meet of the components of its store's index that cover it (top where
+none does).
+
+The rewrite maps a statement over the input set to one over the output's
+named space.  It changes only `#if`s, per constructor:
+
+    join (fresh name Z over the selected components; t = those whose named
+    valuation satisfies the #if's condition):
+        t empty                       ->  #if (!Z) s'
+        t all of the selection        ->  #if (Z)  s'
+        otherwise                     ->  #if (Z)  lub(s', skip)
+    proj(phi):    unchanged; the set is filtered
+    a1 || ... || an:  every side rewritten; a guard firing on none of its
+                  side's components is dead and dropped; one #if per class of
+                  equal bodies, guarded by the or of its live guards (one that
+                  fires where the class must not run is conjoined with its
+                  side's components); other side rewrites follow in order
+    a1 >> a2:     a2's rewrite applied to a1's output
+
+join(phi), fignore and fproj rewrite as the join, product and composition
+they apply as, which keeps the fresh names of the set and the rewrite one
+sequence.  A rewrite builds its state on its first call, so alpha, gamma and
+meaning_configs, which read only the set, pay nothing for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import compress
 
-from . import featexp
+from . import featexp, lang
 from .errors import ParseError, SemanticError, UndeclaredFeature
 from .featexp import (
     FALSE,
@@ -49,6 +74,7 @@ from .featexp import (
     disj_all,
     fold_balanced,
     named_meaning,
+    valuations_masker,
 )
 from .lattice import CONST, LiftedStore, Store
 from .lexer import Cursor, tokenize
@@ -119,18 +145,11 @@ class GroupJoin(Abstraction):
     indices: tuple[int, ...]
 
 
-def fresh_feature(used):
-    """The next unused fresh feature name Z1, Z2, ..."""
-    i = 1
-    while f"Z{i}" in used:
-        i += 1
-    return f"Z{i}"
-
-
 class NameAllocator:
     """Deterministic supply of fresh feature names for one application.
 
-    Yields the names fresh_feature would, each call continuing from the last.
+    Each call yields the first of Z1, Z2, ... that is not in `used` and comes
+    after the name the previous call yielded.
     """
 
     def __init__(self, used):
@@ -190,30 +209,30 @@ def _groups_by_elimination(configs, features):
 
 
 def _product_merge(sides):
-    """Merge sibling sets; returns (set, positions).
+    """The product of sibling (set, rewrite) pairs: the merged set and its rewrite.
 
     Components are taken side by side in order; one whose enabled named
     features equal an earlier component's is shared with it, otherwise it is
-    appended.  positions[k][j] is where side k's j-th component landed.
+    appended.  A side owns the merged components its own components landed on.
     """
     features, index = {}, {}
-    named, covers, positions = [], [], []
-    for side in sides:
+    named, covers, owns = [], [], []
+    for side, _ in sides:
         features.update(dict.fromkeys(side.named_space.features))
-        landed = []
+        own = 0
         for on, cover in zip(side.named, side.covers):
             if on not in index:
                 index[on] = len(named)
                 named.append(on)
                 covers.append(cover)
-            landed.append(index[on])
-        positions.append(landed)
-    universe = sides[0].universe
-    concrete = all(side.is_concrete for side in sides)
+            own |= 1 << index[on]
+        owns.append(own)
+    universe = sides[0][0].universe
+    concrete = all(side.is_concrete for side, _ in sides)
     # the hints close over the sides' hints, not the sides, so that a set
     # keeps none of the sets it was merged from alive
-    hints = [side.hint_of for side in sides]
-    named_hints = [(side.named_space.features, side.named_hint_of) for side in sides]
+    hints = [side.hint_of for side, _ in sides]
+    named_hints = [(side.named_space.features, side.named_hint_of) for side, _ in sides]
     merged = ConfigSet(
         universe.space,
         tuple(covers),
@@ -222,12 +241,13 @@ def _product_merge(sides):
         tuple(universe.valuations[c.bit_length() - 1] for c in covers) if concrete else None,
         tuple(named),
         # each side's renames extend those of the common input set, in order
-        {name: m for side in sides for name, m in side.renames.items()},
+        {name: m for side, _ in sides for name, m in side.renames.items()},
         (lambda: _merged_meaning_hint(hints)) if concrete else lambda: None,
         FeatureSpace(tuple(features)),
         _once(lambda: _merged_named_hint(named_hints)),
     )
-    return merged, positions
+    rewrites = [rewrite for _, rewrite in sides]
+    return merged, _lazy(lambda: _product_walker(merged, owns, rewrites))
 
 
 def _once(build):
@@ -241,6 +261,16 @@ def _once(build):
         return result
 
     return get
+
+
+def _lazy(build):
+    """A statement rewrite whose walker build() makes on the first call."""
+    walker = _once(build)
+    return lambda stmt: walker()(stmt)
+
+
+def _unchanged(stmt):
+    return stmt
 
 
 def _merged_meaning_hint(hint_ofs):
@@ -272,7 +302,7 @@ def _merged_named_hint(named_hints):
 
 
 def _apply(alpha, configs, alloc):
-    """The configuration set alpha makes of `configs`, in both views."""
+    """The configuration set alpha makes of `configs`, in both views, and its rewrite."""
     if isinstance(alpha, Join):
         return _apply_group(range(len(configs)), None, configs, alloc)
     if isinstance(alpha, JoinPhi):
@@ -284,7 +314,7 @@ def _apply(alpha, configs, alloc):
         indices = _select(configs, alpha.phi)
         concrete = configs.is_concrete
         hint_of, named_hint_of, phi = configs.hint_of, configs.named_hint_of, alpha.phi
-        return ConfigSet(
+        out = ConfigSet(
             configs.space,
             tuple(configs.covers[i] for i in indices),
             configs.universe,
@@ -295,15 +325,17 @@ def _apply(alpha, configs, alloc):
             configs.named_space,
             _once(lambda: _conj_hint(named_hint_of(), phi)) if concrete else lambda: None,
         )
+        return out, _unchanged
     if isinstance(alpha, Compose):
-        return _apply(alpha.outer, _apply(alpha.inner, configs, alloc), alloc)
+        mid, inner = _apply(alpha.inner, configs, alloc)
+        out, outer = _apply(alpha.outer, mid, alloc)
+        return out, lambda stmt: outer(inner(stmt))
     if isinstance(alpha, Product):
-        sides = [_apply(part, configs, alloc) for part in alpha.parts]
-        return _product_merge(sides)[0]
+        return _product_merge([_apply(part, configs, alloc) for part in alpha.parts])
     if isinstance(alpha, FIgnore):
         expansion = _fignore_fold(configs, alpha.feature)
         if expansion is None:
-            return _empty_set(configs)
+            return _empty_set(configs), _unchanged
         return _apply(expansion, configs, alloc)
     if isinstance(alpha, FProj):
         return _apply(_fproj_chain(alpha), configs, alloc)
@@ -357,7 +389,7 @@ def _apply_group(indices, phi, configs, alloc):
     for i in indices:
         cover |= configs.covers[i]
     meaning = partial(_group_meaning, indices, phi, configs)
-    return ConfigSet(
+    out = ConfigSet(
         configs.space,
         (cover,),
         configs.universe,
@@ -367,23 +399,107 @@ def _apply_group(indices, phi, configs, alloc):
         named_space=FeatureSpace((name,)),
         named_hint_of=lambda: Atom(name),
     )
+    return out, _lazy(lambda: _join_walker([configs.named[i] for i in indices], name))
 
 
 def _group_meaning(indices, phi, configs):
     """The formula a join names: the disjunction of the selected components, kept
     compact through the set's hint (and the selection formula phi) where known."""
+    if not indices:
+        return FALSE
     if phi is not None and configs.is_concrete:
         hint = _conj_hint(configs.hint, phi)
         if hint is not None:
             return hint
-    if not indices:
-        return FALSE
     if len(indices) == len(configs):
         hint = configs.hint
         if hint is not None:
             return hint
     renames, space = configs.renames, configs.space
     return disj_all(named_meaning(configs.named[i], renames, space) for i in indices)
+
+
+# ---------------------------------------------------------------------------
+# Rewrites
+
+
+def _join_walker(group, name):
+    """The join rule over the selection's named valuations `group`."""
+    z = Atom(name)
+    everything = (1 << len(group)) - 1
+    mask = valuations_masker(group)
+
+    def walk(stmt):
+        if not isinstance(stmt, lang.IfDef):
+            return lang.with_children(stmt, tuple(map(walk, lang.children(stmt))))
+        body = walk(stmt.body)
+        t = mask(stmt.cond)
+        # untouched first: on an empty join the statement must stay dead,
+        # matching the untouched case of the analysis
+        if not t:
+            return lang.IfDef(Not(z), body)
+        if t == everything:
+            return lang.IfDef(z, body)
+        return lang.IfDef(z, lang.Lub(body, lang.Skip()))
+
+    return walk
+
+
+def _repair_stmt(stmt, repair):
+    """Apply a guard repair to the top-level #ifs of a rewritten fragment."""
+    if isinstance(stmt, lang.IfDef):
+        cond = repair(stmt.cond)
+        return stmt if cond == stmt.cond else lang.IfDef(cond, stmt.body)
+    if isinstance(stmt, lang.Seq):
+        return lang.Seq(_repair_stmt(stmt.first, repair), _repair_stmt(stmt.second, repair))
+    return stmt
+
+
+def _product_walker(merged, owns, rewrites):
+    """The product rule: side k's rewrite, guarded on the merged components owns[k]."""
+    mask = valuations_masker(merged.named)
+    own_formulas = [
+        cache(lambda own=own: disj_all(map(merged.named_formula, bit_indices(own))))
+        for own in owns
+    ]
+
+    def repair(k, cond, allowed):
+        # side k's guard: false if dead, else narrowed to the side's own
+        # components where it fires outside `allowed` (as `!Z` does on every
+        # foreign component)
+        fires = mask(cond)
+        if not fires & owns[k]:
+            return FALSE
+        return cond if not fires & ~allowed else And(cond, own_formulas[k]())
+
+    def walk(stmt):
+        if not isinstance(stmt, lang.IfDef):
+            return lang.with_children(stmt, tuple(map(walk, lang.children(stmt))))
+        classes = []  # (body, [(side, guard)]) of the live #ifs, by first appearance
+        rest = []
+        for k, rewrite in enumerate(rewrites):
+            out = rewrite(stmt)
+            if not isinstance(out, lang.IfDef):
+                rest.append(_repair_stmt(out, lambda cond, k=k: repair(k, cond, owns[k])))
+            elif mask(out.cond) & owns[k]:
+                for body, members in classes:
+                    if lang.stmt_equal(body, out.body):
+                        members.append((k, out.cond))
+                        break
+                else:
+                    classes.append((out.body, [(k, out.cond)]))
+        ifdefs = []
+        for body, members in classes:
+            # the class runs its body where a side's guard fires on the side's
+            # own components; only a guard firing anywhere else is repaired
+            allowed = 0
+            for k, cond in members:
+                allowed |= mask(cond) & owns[k]
+            guards = dict.fromkeys(repair(k, cond, allowed) for k, cond in members)
+            ifdefs.append(lang.IfDef(disj_all(guards), body))
+        return lang.seq_all(ifdefs + rest)
+
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +525,18 @@ class AbstractedConfigs:
         return {name: meaning() for name, meaning in self.meaning_view.renames.items()}
 
 
+def apply(alpha, configs):
+    """Apply alpha to a concrete configuration set: the set alpha makes of it,
+    indexed over the original space, and the rewrite of the family's statements.
+
+    Joins are named Z1, Z2, ..., skipping the set's own feature names.
+    """
+    return _apply(alpha, _named_start(configs), NameAllocator(configs.space.features))
+
+
 def meaning_configs(alpha, space, configs):
     """The configuration set alpha makes of `configs`, indexed over the original space."""
-    return _apply(alpha, _named_start(configs), NameAllocator(configs.space.features))
+    return apply(alpha, configs)[0]
 
 
 def abstract_configs(alpha, space, configs):
@@ -465,17 +590,16 @@ def alpha_apply(alpha, configs, store, lattice=None):
 def gamma_apply(alpha, configs, store, lattice=None):
     """Concretize an abstract lifted store back over the full configuration set.
 
-    Each configuration gets the meet of the components covering it, or top
-    when none does.
+    The store is indexed by the set alpha made of `configs`.  Each
+    configuration gets the meet of the components covering it, or top when
+    none does.
     """
     lattice = _infer_lattice(store, lattice)
-    covers = meaning_configs(alpha, configs.space, configs).covers
-    if len(store) != len(covers):
-        raise SemanticError(
-            f"abstract store has {len(store)} components, expected {len(covers)}"
-        )
+    universe = store.configs.universe
+    if universe is not configs.universe and universe.valuations != configs.universe.valuations:
+        raise SemanticError("abstract store is not indexed over the given configurations")
     met = {}
-    for cover, d in zip(covers, store.stores):
+    for cover, d in zip(store.configs.covers, store.stores):
         for b in bit_indices(cover):
             met[b] = met[b].meet(d) if b in met else d
     top = Store.top(lattice)

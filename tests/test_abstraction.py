@@ -11,6 +11,7 @@ from liftcal.errors import SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_lifted
 from liftcal.oracle import CaseGen, gen_lifted, gen_random_abstraction, gen_random_program
+from liftcal.reconfig import reconfigure
 
 from conftest import CHAIN_SOURCE
 
@@ -244,6 +245,49 @@ def test_gamma_product_is_meet_of_sides(space, configs):
     g_left = ab.gamma_apply(left, configs, LiftedStore(left_meanings, (d.stores[0],)))
     g_right = ab.gamma_apply(right, configs, LiftedStore(right_meanings, (d.stores[1],)))
     assert out == g_left.meet(g_right)
+
+
+def test_gamma_reads_its_store_index(monkeypatch, a_s2, space, configs):
+    alpha = ab.parse_abstraction("(proj(A) >> join) || proj(!A)", space)
+    abstract = ab.alpha_apply(alpha, configs, a_s2)
+    applied = []
+    apply_ = ab._apply
+    monkeypatch.setattr(ab, "_apply", lambda *args: applied.append(args) or apply_(*args))
+    out = ab.gamma_apply(alpha, configs, abstract)
+    assert applied == []
+    # A&B and A&!B share the join's top; !A&B keeps its own store
+    assert store_values(out) == [TOP, TOP, intval(-1)]
+
+
+def test_gamma_rejects_a_store_over_another_universe(s1, space, configs):
+    alpha = ab.Join()
+    other = fx.valid_configs(lang.parse_program(CHAIN_SOURCE).feature_model)
+    store = ab.alpha_apply(alpha, other, LiftedStore.top(other, CONST), CONST)
+    with pytest.raises(SemanticError):
+        ab.gamma_apply(alpha, configs, store, CONST)
+    # an index over an equal universe, enumerated again, is accepted
+    again = fx.valid_configs(s1.feature_model)
+    store = ab.alpha_apply(alpha, again, LiftedStore.top(again, CONST), CONST)
+    assert ab.gamma_apply(alpha, configs, store, CONST) == LiftedStore.top(configs, CONST)
+
+
+@pytest.mark.parametrize("spec", ["join", "proj(A1) || join(!A1)", "fignore(A1)"])
+def test_alpha_pays_for_no_rewrite(monkeypatch, spec):
+    # the rewrite that application also yields builds its state only when called
+    built = []
+    masker = ab.valuations_masker
+    monkeypatch.setattr(ab, "valuations_masker", lambda vals: built.append(1) or masker(vals))
+    program = lang.parse_program(CHAIN_SOURCE)
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    alpha = ab.parse_abstraction(spec, space)
+    abstract = ab.alpha_apply(alpha, configs, LiftedStore.top(configs, CONST), CONST)
+    ab.gamma_apply(alpha, configs, abstract, CONST)
+    ab.meaning_configs(alpha, space, configs)
+    ab.abstract_configs(alpha, space, configs)
+    assert built == []
+    reconfigure(program, alpha)
+    assert built
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,18 @@ from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang
 from liftcal.abstracted import analyze_abstracted
-from liftcal.abstraction import NameAllocator, fresh_feature
+from liftcal.abstraction import NameAllocator
 from liftcal.errors import SemanticError
+from liftcal.lang import stmt_equal
 from liftcal.lattice import CONST, LiftedStore, Store, TOP, intval
 from liftcal.lifted import analyze_lifted, analyze_single
-from liftcal.oracle import match_renamed_configs
-from liftcal.reconfig import make_lub, reconfigure, render_renames, stmt_equal
+from liftcal.oracle import (
+    CaseGen,
+    gen_random_abstraction,
+    gen_random_program,
+    match_renamed_configs,
+)
+from liftcal.reconfig import reconfigure, render_renames
 
 
 def flat_stmts(stmt):
@@ -21,20 +27,20 @@ def flat_stmts(stmt):
 
 
 def test_fresh_feature():
-    assert fresh_feature({"A", "B"}) == "Z1"
-    assert fresh_feature({"A", "Z1"}) == "Z2"
-    assert fresh_feature({"Z1", "Z2"}) == "Z3"
+    assert NameAllocator({"A", "B"}).fresh() == "Z1"
+    assert NameAllocator({"A", "Z1"}).fresh() == "Z2"
+    assert NameAllocator({"Z1", "Z2"}).fresh() == "Z3"
     alloc = NameAllocator({"A", "Z2", "Z4"})
     assert [alloc.fresh() for _ in range(3)] == ["Z1", "Z3", "Z5"]
 
 
 def test_make_lub_serialization(top_store):
-    lub = make_lub(lang.Assign("x", lang.Num(1)), lang.Skip())
+    lub = lang.Lub(lang.Assign("x", lang.Num(1)), lang.Skip())
     assert lang.pretty_stmt(lub) == "if (0) { x := 1 } else { skip }"
     stmt = lang.Assign("x", lang.Num(2))
-    both = lang.relabel(make_lub(stmt, stmt))
+    both = lang.relabel(lang.Lub(stmt, stmt))
     assert analyze_lifted(both, top_store) == analyze_lifted(lang.relabel(stmt), top_store)
-    identity = lang.relabel(make_lub(lang.Skip(), lang.Skip()))
+    identity = lang.relabel(lang.Lub(lang.Skip(), lang.Skip()))
     assert analyze_lifted(identity, top_store) == top_store
 
 
@@ -239,3 +245,23 @@ def test_fignore_on_eleven_feature_chain():
     assert "&" not in "".join(
         fx.render(s.cond) for s in stmts if isinstance(s, lang.IfDef)
     )
+
+
+def test_renames_and_model_agree_with_abstract_configs():
+    # one application names the joins for both; a join of no component means false
+    cases = 0
+    for seed in (1, 2):
+        gen = CaseGen(seed, max_features=4, max_abs_depth=4)
+        for _ in range(200):
+            program = gen_random_program(gen)
+            space = program.feature_model.space
+            alpha = gen_random_abstraction(gen, space)
+            info = ab.abstract_configs(alpha, space, fx.valid_configs(program.feature_model))
+            rewritten, renames = reconfigure(program, alpha)
+            assert renames == info.renames, ab.render_abstraction(alpha)
+            psi = info.configs.hint
+            if psi is None:
+                psi = fx.disj_all(info.configs.formulas)
+            assert rewritten.feature_model == fx.FeatureModel(info.space, psi)
+            cases += 1
+    assert cases == 400

@@ -1,0 +1,180 @@
+"""Fingerprint liftcal's outputs, to compare two checkouts case by case.
+
+    python tools/differential.py OUT.json          # write the fingerprints
+    python tools/differential.py --diff OLD NEW    # list the keys that differ
+
+Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
+case:
+
+- 2,400 generated cases (oracle.CaseGen seeds 1-3, 400 cases each, under
+  `const` and `constplus`, max_features=4, max_abs_depth=4): the generator's
+  program and abstraction and random entry stores over the valid
+  configurations and over the abstraction's meaning view.  Hashed are the
+  stores of analyze_lifted, analyze_abstracted, alpha_apply and gamma_apply,
+  every label's data-flow in and out stores on both entries,
+  abstract_configs (space, named formulas, hint, meanings, renames) and
+  reconfigure's pretty-printed program and renames.  A case that raises a
+  liftcal error hashes the error instead.
+- `liftcal analyze` (text and json, with and without --dataflow, both
+  lattices) and `liftcal reconfigure` on the running examples S1 and S2, the
+  11-feature chain, the 6-feature chain under fignore and fproj, and two
+  loop families: exit code, stdout and stderr.
+
+`--diff` exits 1 when a key differs or is missing on one side.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from liftcal import abstraction as ab  # noqa: E402
+from liftcal import cli, featexp, lang, oracle  # noqa: E402
+from liftcal.abstracted import analyze_abstracted, build_dataflow, solve_dataflow  # noqa: E402
+from liftcal.errors import LiftcalError  # noqa: E402
+from liftcal.lattice import CONST, CONST_PLUS  # noqa: E402
+from liftcal.lifted import analyze_lifted  # noqa: E402
+from liftcal.reconfig import reconfigure  # noqa: E402
+from perfbench.workloads import SPLIT, chain_text, loops_text  # noqa: E402
+
+SEEDS = (1, 2, 3)
+CASES = 400
+LATTICES = {"const": CONST, "constplus": CONST_PLUS}
+
+S1 = """features A, B;
+model A | B;
+begin
+  x := 0; #if (A) { x := x + 1 }; #if (B) { x := 1 }
+end
+"""
+S2 = S1.replace("#if (B) { x := 1 }", "#if (B) { x := x - 1 }")
+
+# family name -> (program text, abstraction specs; None is the lifted analysis)
+FAMILIES = {
+    "S1": (S1, [None, "join", "proj(A) >> join", "proj(B) || join(!B)", "fignore(A)",
+                "join(!A & !B)"]),
+    "S2": (S2, [None, "join", "proj(B) >> join", "fignore(B)", "fproj(A, B)"]),
+    "chain11": (chain_text(11), [None, "join", SPLIT]),
+    "fignore6": (chain_text(6), [None, "fignore(A1)", "fproj(A1, A2)"]),
+    "loops1": (loops_text(1), [None, SPLIT]),
+    "loops2": (loops_text(2), [None, SPLIT]),
+}
+
+
+def _stores(lifted):
+    return repr(lifted.stores)
+
+
+def _case_parts(gen):
+    """The outputs of one generated case, as strings, in a fixed order."""
+    program = oracle.gen_random_program(gen)
+    space = program.feature_model.space
+    alpha = oracle.gen_random_abstraction(gen, space)
+    parts = [lang.pretty(program), ab.render_abstraction(alpha)]
+    configs = featexp.valid_configs(program.feature_model)
+    meanings = ab.meaning_configs(alpha, space, configs)
+    variables = lang.program_vars(program) or [oracle.VAR_NAMES[0]]
+    a_bar = oracle.gen_lifted(gen, configs, variables)
+    d_bar = oracle.gen_lifted(gen, meanings, variables)
+    parts.append(repr(meanings.covers))
+    parts.append(_stores(analyze_lifted(program.body, a_bar)))
+    parts.append(_stores(analyze_abstracted(program.body, d_bar)))
+    for entry in (a_bar, d_bar):
+        system = build_dataflow(program.body, configs=entry.configs, lattice=gen.lattice)
+        for label, (inp, out) in sorted(solve_dataflow(system, entry).items()):
+            parts.append(f"{label}: {_stores(inp)} {_stores(out)}")
+    parts.append(_stores(ab.alpha_apply(alpha, configs, a_bar, gen.lattice)))
+    parts.append(_stores(ab.gamma_apply(alpha, configs, d_bar, gen.lattice)))
+    info = ab.abstract_configs(alpha, space, configs)
+    parts.append(repr(info.space.features))
+    parts.append(repr([featexp.render(f) for f in info.configs.formulas]))
+    hint = info.configs.hint
+    parts.append("None" if hint is None else featexp.render(hint))
+    parts.append(repr([featexp.render(f) for f in info.meanings]))
+    parts.append(repr({name: featexp.render(f) for name, f in info.renames.items()}))
+    try:
+        rewritten, renames = reconfigure(program, alpha)
+        parts.append(lang.pretty(rewritten))
+        parts.append(repr({name: featexp.render(f) for name, f in renames.items()}))
+    except LiftcalError as exc:
+        parts.append(f"reconfigure: {type(exc).__name__}: {exc}")
+    return parts
+
+
+def case_hashes():
+    out = {}
+    for seed in SEEDS:
+        for name, lattice in LATTICES.items():
+            gen = oracle.CaseGen(seed, max_features=4, max_abs_depth=4, lattice=lattice)
+            for i in range(CASES):
+                try:
+                    parts = _case_parts(gen)
+                except LiftcalError as exc:
+                    parts = [f"{type(exc).__name__}: {exc}"]
+                digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+                out[f"case {seed}/{name}/{i}"] = digest
+    return out
+
+
+def _run_cli(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    text = f"{code}\n{stdout.getvalue()}\n--stderr--\n{stderr.getvalue()}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_hashes():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, (text, specs) in FAMILIES.items():
+            path = Path(tmp) / f"{family}.imp"
+            path.write_text(text, encoding="utf-8")
+            for spec in specs:
+                abs_args = [] if spec is None else ["--abs", spec]
+                for lattice in LATTICES:
+                    for fmt in ("text", "json"):
+                        for dataflow in ([], ["--dataflow"]):
+                            argv = ["analyze", str(path), *abs_args, "--lattice", lattice,
+                                    "--format", fmt, *dataflow]
+                            out[" ".join([family, *argv[2:]])] = _run_cli(argv)
+                if spec is not None:
+                    argv = ["reconfigure", str(path), *abs_args]
+                    out[" ".join([family, *argv[:1], *argv[2:]])] = _run_cli(argv)
+    return out
+
+
+def diff(old_path, new_path):
+    old = json.loads(Path(old_path).read_text())
+    new = json.loads(Path(new_path).read_text())
+    differ = [key for key in old if old[key] != new.get(key)]
+    differ += [key for key in new if key not in old]
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(set(old) | set(new))} keys differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(argv[1], argv[2])
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    hashes = {**case_hashes(), **cli_hashes()}
+    Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+    print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
