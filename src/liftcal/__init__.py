@@ -28,7 +28,6 @@ from .featexp import (
     ConfigSet,
     FeatureModel,
     FeatureSpace,
-    eliminate,
     entails,
     equiv,
     eval_featexp,

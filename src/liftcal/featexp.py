@@ -9,6 +9,11 @@ both views an abstraction has of its output: by meaning over the original
 features and by name over the abstract ones.  A member's formula only names
 it and is built when read; valid_configs builds none.
 
+valid_configs lists a model's valid configurations in canonical order by
+residual enumeration, a top-down BDD construction (Bryant 1986): the model
+becomes a hash-consed DAG once, each step takes a memoized cofactor on the
+next feature, and _ENUM_BUDGET bounds the steps and configurations.
+
 Satisfiability and entailment of free-standing formulas are decided by
 brute-force enumeration of valuations over the features that actually occur
 in a query.  This is exact, dependency-free, and doubles as the oracle for
@@ -185,21 +190,6 @@ def eval_featexp(phi, assignment):
     if isinstance(phi, FalseExp):
         return False
     raise TypeError(f"not a feature expression: {phi!r}")
-
-
-def substitute(phi, name, replacement):
-    """phi with every occurrence of the feature `name` replaced by a formula."""
-    if isinstance(phi, Atom):
-        return replacement if phi.name == name else phi
-    if isinstance(phi, Not):
-        return Not(substitute(phi.arg, name, replacement))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, name, replacement), substitute(phi.right, name, replacement))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, name, replacement), substitute(phi.right, name, replacement))
-    if isinstance(phi, Implies):
-        return Implies(substitute(phi.left, name, replacement), substitute(phi.right, name, replacement))
-    return phi
 
 
 def mask_of(phi, feature_mask, full):
@@ -522,45 +512,94 @@ class FeatureModel:
                 raise UndeclaredFeature(name)
 
 
-def eval_partial(phi, partial):
-    """Three-valued evaluation under a partial assignment; None if undecided."""
-    if isinstance(phi, Atom):
-        return partial.get(phi.name)
-    if isinstance(phi, Not):
-        value = eval_partial(phi.arg, partial)
-        return None if value is None else not value
-    if isinstance(phi, And):
-        left = eval_partial(phi.left, partial)
-        if left is False:
-            return False
-        right = eval_partial(phi.right, partial)
-        if right is False:
-            return False
-        return True if left is True and right is True else None
-    if isinstance(phi, Or):
-        left = eval_partial(phi.left, partial)
-        if left is True:
-            return True
-        right = eval_partial(phi.right, partial)
-        if right is True:
-            return True
-        return False if left is False and right is False else None
-    if isinstance(phi, Implies):
-        left = eval_partial(phi.left, partial)
-        if left is False:
-            return True
-        right = eval_partial(phi.right, partial)
-        if right is True:
-            return True
-        return False if left is True and right is False else None
-    if isinstance(phi, TrueExp):
-        return True
-    if isinstance(phi, FalseExp):
-        return False
-    raise TypeError(f"not a feature expression: {phi!r}")
-
-
 _ENUM_BUDGET = 1 << 21
+_FALSE, _TRUE = 0, 1  # the node ids of the constants
+_BINARY = {And: "and", Or: "or", Implies: "implies"}
+
+
+class _Residuals:
+    """A hash-consed formula DAG over features 0..n-1, with memoized cofactors.
+
+    Node k is nodes[k]: ("var", i, i), ("not", a, a) or ("and" | "or", a, b)
+    over child ids, and 0 and 1 are false and true.  `make` folds constants
+    and looks nodes up in a unique table, so residuals that simplify alike
+    are one node.  least[k] is the least feature index node k mentions (n for
+    a constant): a residual over features i.. mentions i iff its least is i.
+    """
+
+    def __init__(self, n):
+        self.nodes = [("false", 0, 0), ("true", 1, 1)] + [("var", i, i) for i in range(n)]
+        self.least = [n, n, *range(n)]
+        self.unique = {}
+        # node -> (node[x := true], node[x := false]), x the least feature it mentions
+        self.cofactors = {2 + i: (_TRUE, _FALSE) for i in range(n)}
+
+    def make(self, op, a, b):
+        if op == "not":
+            if a <= _TRUE:
+                return _TRUE - a
+        else:
+            unit = _TRUE if op == "and" else _FALSE
+            if _TRUE - unit in (a, b):
+                return _TRUE - unit
+            if a == unit or a == b:
+                return b
+            if b == unit:
+                return a
+            a, b = min(a, b), max(a, b)
+        key = (op, a, b)
+        node = self.unique.get(key)
+        if node is None:
+            node = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+            self.least.append(min(self.least[a], self.least[b]))
+        return node
+
+    def build(self, phi, index):
+        """The node of phi, feature names numbered by index; Implies desugars."""
+        made = []  # the nodes of the subformulas finished so far, in post-order
+        work = [phi]
+        while work:
+            item = work.pop()
+            kind = type(item)
+            if kind is str:  # a connective whose operands are on top of `made`
+                b = made.pop()
+                a = b if item == "not" else made.pop()
+                if item == "implies":
+                    item, a = "or", self.make("not", a, a)
+                made.append(self.make(item, a, b))
+            elif kind is Atom:
+                made.append(2 + index[item.name])
+            elif kind is Not:
+                work += ("not", item.arg)
+            elif kind in _BINARY:
+                work += (_BINARY[kind], item.right, item.left)
+            elif kind in (TrueExp, FalseExp):
+                made.append(_TRUE if kind is TrueExp else _FALSE)
+            else:
+                raise TypeError(f"not a feature expression: {item!r}")
+        return made[0]
+
+    def cofactor(self, root):
+        """The cofactors of root on its least feature x, visiting only what mentions x."""
+        nodes, least, memo = self.nodes, self.least, self.cofactors
+        x = least[root]
+        work = [root]
+        while work:
+            node = work.pop()
+            if node < 0:  # the cofactors of its children that mention x are built
+                op, a, b = nodes[~node]
+                a1, a0 = memo[a] if least[a] == x else (a, a)
+                b1, b0 = memo[b] if least[b] == x else (b, b)
+                memo[~node] = (self.make(op, a1, b1), self.make(op, a0, b0))
+            elif node not in memo:
+                _, a, b = nodes[node]
+                work.append(~node)
+                if least[a] == x:
+                    work.append(a)
+                if b != a and least[b] == x:
+                    work.append(b)
+        return memo[root]
 
 
 def valid_configs(fm):
@@ -571,48 +610,39 @@ def valid_configs(fm):
     first component of a lifted store over {A,B} with model A|B belongs to
     A&B, then A&!B, then !A&B.
 
-    Enumeration walks the assignment tree depth-first, pruning whole subtrees
-    as soon as the partial assignment decides the model, so wide feature
-    spaces with few valid configurations stay cheap.
+    Enumeration walks the assignment tree depth-first on an explicit stack,
+    carrying the residual: the model with the features assigned so far
+    substituted and simplified, a node of a hash-consed DAG whose cofactors
+    are built once each.  A false residual prunes its subtree, and a true one
+    emits its completions, charged to _ENUM_BUDGET (as is every step) before
+    they are built; overrunning the budget raises SemanticError.
     """
-    names = fm.space.features
+    space = fm.space
+    n = len(space)
+    dag = _Residuals(n)
+    root = dag.build(fm.psi, {name: i for i, name in enumerate(space.features)})
+    least, memo = dag.least, dag.cofactors
     configs = []
-    budget = [_ENUM_BUDGET]
-
-    def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
+    budget = _ENUM_BUDGET - 1  # the root's step; a node pays for its children's
+    path = [True] * n  # path[:i] assigns the node popped at depth i
+    stack = [(0, root, True)] if root != _FALSE else []  # a false node is not pushed
+    while stack:
+        i, node, value = stack.pop()
+        if i:
+            path[i - 1] = value
+        budget -= (1 << (n - i)) if node == _TRUE else 2
+        if budget < 0:
             raise SemanticError("configuration enumeration exceeded its budget")
-
-    def emit(bits):
-        spend()
-        configs.append(Config(fm.space, tuple(bits)))
-
-    def walk(i, bits, partial):
-        spend()
-        decided = eval_partial(fm.psi, partial)
-        if decided is False:
-            return
-        if decided is True:
-            for rest in _cartesian((True, False), repeat=len(names) - i):
-                emit(bits + list(rest))
-            return
-        name = names[i]  # undecided, so some feature is still unassigned
-        for value in (True, False):
-            partial[name] = value
-            walk(i + 1, bits + [value], partial)
-            del partial[name]
-
-    walk(0, [], {})
-    return concrete_configs(fm.space, tuple(configs), hint=fm.psi)
-
-
-def eliminate(phi, name):
-    """Existential elimination of a feature: phi[name:=true] | phi[name:=false].
-
-    The result is not normalized; callers compare via equiv.
-    """
-    return Or(substitute(phi, name, TRUE), substitute(phi, name, FALSE))
+        if node == _TRUE:
+            prefix, rests = tuple(path[:i]), _cartesian((True, False), repeat=n - i)
+            configs += [Config(space, prefix + rest) for rest in rests]
+            continue
+        hi, lo = (node, node) if least[node] > i else memo.get(node) or dag.cofactor(node)
+        if lo != _FALSE:
+            stack.append((i + 1, lo, False))
+        if hi != _FALSE:
+            stack.append((i + 1, hi, True))
+    return concrete_configs(space, tuple(configs), hint=fm.psi)
 
 
 # ---------------------------------------------------------------------------

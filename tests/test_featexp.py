@@ -4,12 +4,20 @@ Derived expectations are computed by a small stand-alone enumerator in this
 file, independent of the library's own decision procedure.
 """
 
+import random
+import sys
 from itertools import product as cartesian
 
 import pytest
 
+from liftcal import abstraction as ab
 from liftcal import featexp as fx
-from liftcal.errors import ParseError, SemanticError, UndeclaredFeature
+from liftcal import lang
+from liftcal.errors import LiftcalError, ParseError, SemanticError, UndeclaredFeature
+from liftcal.oracle import CaseGen, gen_random_abstraction, gen_random_program
+from liftcal.reconfig import reconfigure
+
+from conftest import CHAIN_SOURCE
 
 AB = fx.FeatureSpace(("A", "B"))
 ABC = fx.FeatureSpace(("A", "B", "C"))
@@ -189,17 +197,6 @@ def test_valid_configs_prunes_wide_spaces():
     assert [sum(c.values) for c in configs.valuations] == [1, 1, 1]
 
 
-def test_eval_partial_agrees_with_total():
-    phi = fx.parse_featexp("(A => B) & !(C | !A)", ABC)
-    from itertools import product
-    for bits in product((True, False), repeat=3):
-        total = dict(zip(("A", "B", "C"), bits))
-        assert fx.eval_partial(phi, total) == fx.eval_featexp(phi, total)
-    assert fx.eval_partial(phi, {"A": False}) is False  # !A decides the meet
-    assert fx.eval_partial(phi, {"C": True}) is False
-    assert fx.eval_partial(phi, {"A": True, "B": True}) is None
-
-
 def test_valid_configs_full_space_canonical_order():
     fm = fx.FeatureModel(ABC, fx.TRUE)
     configs = fx.valid_configs(fm)
@@ -220,6 +217,78 @@ def test_valid_configs_members_entail_model():
     assert fx.equiv(fx.disj_all(configs.formulas), fm.psi)
 
 
+def random_formula(rng, names, depth):
+    """A random formula over names using every connective and both constants."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return fx.Atom(rng.choice(names))
+    if roll < 0.4:
+        return fx.TRUE if rng.random() < 0.5 else fx.FALSE
+    if roll < 0.55:
+        return fx.Not(random_formula(rng, names, depth - 1))
+    connective = rng.choice((fx.And, fx.Or, fx.Implies))
+    return connective(random_formula(rng, names, depth - 1), random_formula(rng, names, depth - 1))
+
+
+def equality_models():
+    """(kind, model) pairs: random formulas, generated families, and their rewrites."""
+    rng = random.Random(12)
+    names = tuple(f"F{i}" for i in range(6))
+    for _ in range(300):
+        space = fx.FeatureSpace(names[: rng.randint(1, 6)])
+        phi = random_formula(rng, space.features, rng.randint(0, 5))
+        if rng.random() < 0.1:
+            phi = fx.And(phi, fx.Not(phi))
+        yield "formula", fx.FeatureModel(space, phi)
+    gen = CaseGen(12)
+    for _ in range(150):
+        program = gen_random_program(gen)
+        yield "generated", program.feature_model
+        alpha = gen_random_abstraction(gen, program.feature_model.space)
+        try:
+            rewritten, _ = reconfigure(program, alpha)
+        except LiftcalError:
+            continue
+        yield "rewritten", rewritten.feature_model
+
+
+def test_valid_configs_equals_filtered_product():
+    # oracle: the full product in canonical order, filtered by evaluation
+    seen = {"formula": 0, "generated": 0, "rewritten": 0, "unsatisfiable": 0}
+    for kind, fm in equality_models():
+        names = fm.space.features
+        expected = [tuple(v[n] for n in names) for v in enumerate_models(fm.psi, names)]
+        configs = fx.valid_configs(fm)
+        assert [c.values for c in configs.valuations] == expected, fx.render(fm.psi)
+        assert configs.hint is fm.psi
+        seen[kind] += 1
+        seen["unsatisfiable"] += not expected
+    assert seen["formula"] + seen["generated"] + seen["rewritten"] >= 500
+    assert min(seen.values()) > 0, seen
+
+
+def test_valid_configs_needs_no_recursion_per_feature():
+    # fignore(A1) on the 11-feature chain: one fresh feature per configuration
+    program = lang.parse_program(CHAIN_SOURCE)
+    alpha = ab.parse_abstraction("fignore(A1)", program.feature_model.space)
+    rewritten, _ = reconfigure(program, alpha)
+    assert len(rewritten.feature_model.space) == 1024
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        configs = fx.valid_configs(rewritten.feature_model)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [c.values.count(True) for c in configs.valuations] == [1] * 1024
+    assert [c.values.index(True) for c in configs.valuations] == list(range(1024))
+
+
+def test_valid_configs_budget():
+    space = fx.FeatureSpace(tuple(f"F{i}" for i in range(22)))
+    with pytest.raises(SemanticError, match="^configuration enumeration exceeded its budget$"):
+        fx.valid_configs(fx.FeatureModel(space, fx.TRUE))
+
+
 def test_config_formula_is_literal_conjunction():
     config = fx.Config(AB, (True, False))
     assert fx.render(config.formula()) == "A & !B"
@@ -228,38 +297,6 @@ def test_config_formula_is_literal_conjunction():
 def test_duplicate_feature_rejected():
     with pytest.raises(SemanticError):
         fx.FeatureSpace(("A", "A"))
-
-
-# ---------------------------------------------------------------------------
-# Elimination
-
-
-def test_eliminate_examples():
-    a_and_b = fx.parse_featexp("A & B", AB)
-    assert fx.equiv(fx.eliminate(a_and_b, "A"), fx.Atom("B"))
-    a_or_b = fx.parse_featexp("A | B", AB)
-    assert fx.valid(fx.eliminate(a_or_b, "A"))
-    not_a_and_b = fx.parse_featexp("!A & B", AB)
-    # oracle: both substitutions, (true->B is false... ) !true&B | !false&B == B
-    by_hand = fx.Or(
-        fx.And(fx.Not(fx.TRUE), fx.Atom("B")), fx.And(fx.Not(fx.FALSE), fx.Atom("B"))
-    )
-    assert fx.equiv(fx.eliminate(not_a_and_b, "A"), by_hand)
-    assert fx.equiv(fx.eliminate(not_a_and_b, "A"), fx.Atom("B"))
-
-
-def test_eliminate_is_existential_quantification():
-    samples = ("A & B", "A | B", "A => B", "!(A & B) | C", "A & !A")
-    for text in samples:
-        phi = fx.parse_featexp(text, ABC)
-        elim = fx.eliminate(phi, "A")
-        assert "A" not in fx.features_of(elim)
-        for bits in cartesian((True, False), repeat=2):
-            w = dict(zip(("B", "C"), bits))
-            expected = any(
-                fx.eval_featexp(phi, {**w, "A": b}) for b in (True, False)
-            )
-            assert fx.eval_featexp(elim, {**w, "A": True}) == expected
 
 
 def test_config_sets_are_identified_by_configurations():

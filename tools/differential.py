@@ -19,6 +19,10 @@ case:
   lattices) and `liftcal reconfigure` on the running examples S1 and S2, the
   11-feature chain, the 6-feature chain under fignore and fproj, and two
   loop families: exit code, stdout and stderr.
+- valid_configs of rewritten families: the 6-, 7- and 8-feature chains and
+  nested families (`#if (Ak) { #if (A1 | Ak) { x := x + 1 } }` for k = 2..n)
+  reconfigured under fignore(A1) and fproj(A1, A2): the rewritten feature
+  space and every valuation, in order.
 
 `--diff` exits 1 when a key differs or is missing on one side.
 """
@@ -68,6 +72,20 @@ FAMILIES = {
     "loops1": (loops_text(1), [None, SPLIT]),
     "loops2": (loops_text(2), [None, SPLIT]),
 }
+
+
+def nested_text(n):
+    """x := 0 followed by `#if (Ak) { #if (A1 | Ak) { x := x + 1 } }` for k = 2..n."""
+    names = [f"A{i}" for i in range(1, n + 1)]
+    body = ["x := 0"] + [
+        f"#if (A{k}) {{ #if (A1 | A{k}) {{ x := x + 1 }} }}" for k in range(2, n + 1)
+    ]
+    return f"features {', '.join(names)};\nmodel true;\nbegin\n  " + "; ".join(body) + "\nend\n"
+
+
+# rewritten families whose valid_configs are fingerprinted: name -> (text of n, sizes n)
+REWRITTEN = {"chain": (chain_text, (6, 7, 8)), "nested": (nested_text, (6, 7, 8))}
+REWRITES = ("fignore(A1)", "fproj(A1, A2)")
 
 
 def _stores(lifted):
@@ -125,6 +143,26 @@ def case_hashes():
     return out
 
 
+def enum_hashes():
+    out = {}
+    for family, (text_of, sizes) in REWRITTEN.items():
+        for n in sizes:
+            program = lang.parse_program(text_of(n))
+            for spec in REWRITES:
+                try:
+                    alpha = ab.parse_abstraction(spec, program.feature_model.space)
+                    rewritten, _ = reconfigure(program, alpha)
+                    configs = featexp.valid_configs(rewritten.feature_model)
+                    rows = [" ".join(rewritten.feature_model.space.features)]
+                    rows += ["".join("1" if bit else "0" for bit in v.values)
+                             for v in configs.valuations]
+                except LiftcalError as exc:
+                    rows = [f"{type(exc).__name__}: {exc}"]
+                digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+                out[f"valid_configs {family}{n} {spec}"] = digest
+    return out
+
+
 def _run_cli(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -170,7 +208,7 @@ def main(argv):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    hashes = {**case_hashes(), **cli_hashes()}
+    hashes = {**case_hashes(), **cli_hashes(), **enum_hashes()}
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
     return 0
