@@ -25,10 +25,13 @@ built when read (featexp.named_meaning): a component means the rename of the
 one fresh feature it enables, else its own literals; a join of no component
 means false.  Lifted stores produced here are indexed by that set.
 
-Every abstraction is a join over such covers, so alpha gives each component
-the join of the stores its cover holds, and gamma gives each configuration
-the meet of the components of its store's index that cover it (top where
-none does).
+Every abstraction is a join over such covers, so alpha and gamma read a set
+that apply already made: alpha (`alpha_over`) gives each component of a
+given set the join of the stores its cover holds, and gamma gives each
+configuration the meet of the components of its store's index that cover it
+(top where none does).  One application thus feeds alpha, the named view
+(`named_view`) and the rewrite (reconfig.rewrite_family); alpha_apply,
+abstract_configs and reconfigure apply, then read.
 
 The rewrite maps a statement over the input set to one over the output's
 named space.  It changes only `#if`s, per constructor:
@@ -540,8 +543,14 @@ def meaning_configs(alpha, space, configs):
 
 
 def abstract_configs(alpha, space, configs):
-    """The abstract feature space and configuration set induced by alpha."""
-    out = meaning_configs(alpha, space, configs)
+    """The abstract feature space and configuration set induced by alpha: the
+    named view of the set alpha makes of `configs`."""
+    return named_view(apply(alpha, configs)[0])
+
+
+def named_view(out):
+    """The named view of `out`, a set that apply made: the abstract feature
+    space and the set's members as total valuations over it."""
     named_space = out.named_space
     valuations = tuple(
         featexp.Config(named_space, tuple(f in on for f in named_space.features))
@@ -563,15 +572,22 @@ def _infer_lattice(store, lattice):
 
 
 def alpha_apply(alpha, configs, store, lattice=None):
-    """Abstract a lifted store; the result is indexed by the meaning view.
+    """Abstract a lifted store indexed by `configs` under alpha: alpha_over
+    the set alpha makes of `configs`."""
+    return alpha_over(apply(alpha, configs)[0], configs, store, lattice)
 
-    Each component is the join of the distinct stores of the configurations
-    it covers, each store object joined once.
+
+def alpha_over(out_configs, configs, store, lattice=None):
+    """Abstract a lifted store indexed by `configs` onto `out_configs`, the set
+    that apply made of `configs`; the result is indexed by `out_configs`.
+
+    Alpha reads the given set the way gamma reads its store's index: each
+    component is the join of the distinct stores of the configurations its
+    cover holds, each store object joined once.
     """
     if store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
-    out_configs = meaning_configs(alpha, configs.space, configs)
     # concrete configurations cover one universe bit each
     at = {c.bit_length() - 1: s for c, s in zip(configs.covers, store.stores)}
     out = []

@@ -141,6 +141,8 @@ def cmd_reconfigure(args):
 
 
 def cmd_check(args):
+    if args.cases < 0:
+        raise SystemExit2(f"--cases must be at least 0, not {args.cases}")
     lattice = lattice_by_name(args.lattice)
     if args.file:
         if not args.abs:

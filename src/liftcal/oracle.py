@@ -28,7 +28,7 @@ from .errors import SemanticError
 from .featexp import FeatureModel, FeatureSpace, valid_configs
 from .lattice import CONST, CONST_PLUS, GEQ0, LEQ0, BOT, TOP, LiftedStore, Store, intval
 from .lifted import analyze_lifted, analyze_single, eval_expr
-from .reconfig import reconfigure
+from .reconfig import rewrite_family
 
 FEATURE_NAMES = ("A", "B", "C", "D")
 VAR_NAMES = ("x", "y", "z")
@@ -375,32 +375,31 @@ def _galois_case(gen, alpha, configs, variables, report, index, gamma_fn=None):
     lattice = gen.lattice
     gamma = gamma_fn or (lambda d: ab.gamma_apply(alpha, configs, d, lattice))
     meanings = ab.meaning_configs(alpha, configs.space, configs)
+
+    def alpha_of(store):
+        return ab.alpha_over(meanings, configs, store, lattice)
+
     a_bar = gen_lifted(gen, configs, variables)
     d_bar = gen_lifted(gen, meanings, variables)
-    alpha_a = ab.alpha_apply(alpha, configs, a_bar, lattice)
-    lhs = LiftedStore(meanings, alpha_a.stores).leq(d_bar)
+    lhs = alpha_of(a_bar).leq(d_bar)
     rhs = a_bar.leq(gamma(d_bar))
     if lhs != rhs:
         report.fail(index, f"adjunction broken for {ab.render_abstraction(alpha)}")
         return
-    if not a_bar.leq(gamma(ab.alpha_apply(alpha, configs, a_bar, lattice))):
+    if not a_bar.leq(gamma(alpha_of(a_bar))):
         report.fail(index, f"gamma.alpha not extensive for {ab.render_abstraction(alpha)}")
         return
-    round_trip = ab.alpha_apply(alpha, configs, gamma(d_bar), lattice)
-    if not LiftedStore(meanings, round_trip.stores).leq(d_bar):
+    if not alpha_of(gamma(d_bar)).leq(d_bar):
         report.fail(index, f"alpha.gamma not reductive for {ab.render_abstraction(alpha)}")
         return
     family = [gen_lifted(gen, configs, variables) for _ in range(gen.rng.randint(0, 4))]
     joined = LiftedStore.bot(configs, lattice)
     for member in family:
         joined = joined.join(member)
-    left = ab.alpha_apply(alpha, configs, joined, lattice)
     right = LiftedStore.bot(meanings, lattice)
     for member in family:
-        right = right.join(
-            LiftedStore(meanings, ab.alpha_apply(alpha, configs, member, lattice).stores)
-        )
-    if LiftedStore(meanings, left.stores) != right:
+        right = right.join(alpha_of(member))
+    if alpha_of(joined) != right:
         report.fail(index, f"alpha is not a finite join morphism for {ab.render_abstraction(alpha)}")
 
 
@@ -460,9 +459,8 @@ def check_soundness(gen, cases=200):
         def fails(p, d_bar=d_bar, alpha=alpha, configs=configs, meanings=meanings):
             concrete = ab.gamma_apply(alpha, configs, d_bar, gen.lattice)
             lifted_out = analyze_lifted(p.body, concrete)
-            lhs = ab.alpha_apply(alpha, configs, lifted_out, gen.lattice)
-            rhs = analyze_abstracted(p.body, d_bar)
-            return not LiftedStore(meanings, lhs.stores).leq(rhs)
+            lhs = ab.alpha_over(meanings, configs, lifted_out, gen.lattice)
+            return not lhs.leq(analyze_abstracted(p.body, d_bar))
 
         if fails(program):
             small = shrink_program(program, fails)
@@ -476,7 +474,7 @@ def check_soundness(gen, cases=200):
             configs, tuple(Store.of(gen.lattice, {"_": v}) for v in values)
         )
         abstracted_vals = analyze_expr_abstracted(expr, d_bar)
-        alpha_vals = ab.alpha_apply(alpha, configs, wrapped, gen.lattice)
+        alpha_vals = ab.alpha_over(meanings, configs, wrapped, gen.lattice)
         for left, right in zip(
             (s.get("_") for s in alpha_vals.stores), abstracted_vals
         ):
@@ -545,18 +543,16 @@ def check_commutation(gen, cases=200):
     for i in range(cases):
         report.cases += 1
         program = gen_random_program(gen)
-        space = program.feature_model.space
         configs = valid_configs(program.feature_model)
-        alpha = gen_exact_abstraction(gen, space)
-        meanings = ab.meaning_configs(alpha, space, configs)
-        d_bar = gen_lifted(gen, meanings, _program_variables(gen, program))
+        alpha = gen_exact_abstraction(gen, program.feature_model.space)
+        applied = ab.apply(alpha, configs)
+        d_bar = gen_lifted(gen, applied[0], _program_variables(gen, program))
 
-        def fails(p, alpha=alpha, d_bar=d_bar, space=space, configs=configs):
-            info = ab.abstract_configs(alpha, space, configs)
-            rewritten, _ = reconfigure(p, alpha)
-            k_new = valid_configs(rewritten.feature_model)
-            mapping = match_renamed_configs(info, k_new)
-            entry = LiftedStore(k_new, tuple(d_bar.stores[j] for j in mapping))
+        # shrinking keeps the feature model, so the rewritten model and its
+        # match to the abstract set serve every candidate
+        def fails(p, rewritten=None):
+            if rewritten is None:
+                rewritten = rewrite_family(p, applied)[0]
             via_rewrite = analyze_lifted(rewritten.body, entry)
             direct = analyze_abstracted(p.body, d_bar)
             return any(
@@ -565,7 +561,11 @@ def check_commutation(gen, cases=200):
             )
 
         try:
-            failed = fails(program)
+            rewritten, _ = rewrite_family(program, applied)
+            k_new = valid_configs(rewritten.feature_model)
+            mapping = match_renamed_configs(ab.named_view(applied[0]), k_new)
+            entry = LiftedStore(k_new, tuple(d_bar.stores[j] for j in mapping))
+            failed = fails(program, rewritten)
         except SemanticError as exc:
             report.fail(i, f"configuration mismatch: {exc} on {_describe(program, alpha)}")
             continue
@@ -626,25 +626,30 @@ def check_all(seed, cases=200, lattice=CONST):
 
 
 def check_instance(program, alpha, seed=0, cases=50, lattice=CONST):
-    """Targeted soundness and commutation on one program and abstraction."""
+    """Targeted soundness and commutation on one program and abstraction.
+
+    The family's configurations are enumerated once and alpha applied once;
+    that one set indexes every case's abstract store and alpha, and with its
+    rewrite gives the rewritten family and its match to the abstract set.
+    """
     gen = CaseGen(seed, lattice=lattice)
     configs = valid_configs(program.feature_model)
-    info = ab.abstract_configs(alpha, program.feature_model.space, configs)
+    applied = ab.apply(alpha, configs)
+    meanings = applied[0]
     variables = lang.program_vars(program) or [VAR_NAMES[0]]
     sound = PropertyReport("soundness")
     commute = PropertyReport("commutation")
-    # the rewritten family and its match to the abstract set are the same in every case
-    rewritten, _ = reconfigure(program, alpha)
+    rewritten, _ = rewrite_family(program, applied)
     k_new = valid_configs(rewritten.feature_model)
-    mapping = match_renamed_configs(info, k_new)
+    mapping = match_renamed_configs(ab.named_view(meanings), k_new)
     for i in range(cases):
         sound.cases += 1
         commute.cases += 1
-        d_bar = gen_lifted(gen, info.meaning_view, variables)
+        d_bar = gen_lifted(gen, meanings, variables)
         concrete = ab.gamma_apply(alpha, configs, d_bar, lattice)
-        lhs = ab.alpha_apply(alpha, configs, analyze_lifted(program.body, concrete), lattice)
+        lhs = ab.alpha_over(meanings, configs, analyze_lifted(program.body, concrete), lattice)
         rhs = analyze_abstracted(program.body, d_bar)
-        if not lhs.leq(rhs):  # alpha indexes lhs by a set equal to the meaning view
+        if not lhs.leq(rhs):
             sound.fail(i, "soundness sandwich broken")
         entry = LiftedStore(k_new, tuple(d_bar.stores[j] for j in mapping))
         via_rewrite = analyze_lifted(rewritten.body, entry)

@@ -5,7 +5,9 @@ on the rewritten family coincides (up to renaming of configurations) with
 running the abstracted analysis on the original.  All other statements are
 copied.  The rewrite comes from the same application of the abstraction that
 builds its configuration set (abstraction.apply), whose docstring gives the
-rule of each constructor.  lub(s0, s1) serializes as
+rule of each constructor.  rewrite_family takes that (set, rewrite) pair, so
+a caller that applied the abstraction for alpha or the named view reuses it;
+reconfigure enumerates and applies first.  lub(s0, s1) serializes as
 `if (0) { s0 } else { s1 }`, which the analysis treats identically since
 if-conditions are ignored.
 """
@@ -19,13 +21,21 @@ from .featexp import FeatureModel, disj_all
 
 
 def reconfigure(program, alpha, simplify=False):
-    """Rewrite a program family under an abstraction.
+    """Rewrite a program family under an abstraction: rewrite_family with
+    alpha applied to the family's valid configurations."""
+    applied = ab.apply(alpha, featexp.valid_configs(program.feature_model))
+    return rewrite_family(program, applied, simplify)
+
+
+def rewrite_family(program, applied, simplify=False):
+    """Rewrite a program family with `applied`, the (set, rewrite) pair that
+    abstraction.apply made of the family's valid configurations.
 
     Returns the rewritten Program, over the abstract feature space and model,
     and the rename table mapping each fresh feature to the formula it names
     over the original feature space.
     """
-    out, rewrite = ab.apply(alpha, featexp.valid_configs(program.feature_model))
+    out, rewrite = applied
     body = rewrite(program.body)
     if simplify:
         # one configuration left: its #if guards are statically decided

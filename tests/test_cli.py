@@ -185,6 +185,15 @@ def test_check_single_instance(capsys, s1_file):
     assert "commutation: pass" in out
 
 
+def test_check_negative_cases_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--cases", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: --cases must be at least 0, not -3\n"
+    code, out, _ = run(capsys, "check", "--cases", "0")
+    assert code == 0
+    assert "oracle-equivalence: pass (0 cases)" in out
+
+
 def test_check_json(capsys):
     code, out, _ = run(capsys, "check", "--cases", "5", "--format", "json")
     assert code == 0

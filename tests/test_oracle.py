@@ -4,7 +4,7 @@ from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang
 from liftcal import oracle
-from liftcal.lattice import CONST, LiftedStore, intval
+from liftcal.lattice import CONST, LiftedStore, Store, intval
 from liftcal.oracle import CaseGen
 
 
@@ -151,18 +151,39 @@ def test_check_instance_targeted(s1, space):
 
 
 def test_check_instance_reconfigures_once(monkeypatch, s1, space):
-    # the rewritten family does not depend on the case
-    calls = []
-    reconfigure = oracle.reconfigure
-    monkeypatch.setattr(
-        oracle, "reconfigure", lambda *args: calls.append(args) or reconfigure(*args)
-    )
+    # one enumeration of the family and one application of alpha feed the
+    # soundness side, the named view, the rewritten family and every alpha
+    enumerated, applied = [], []
+    valid_configs, apply = fx.valid_configs, ab.apply
+
+    def counted_valid_configs(fm):
+        enumerated.append(fm)
+        return valid_configs(fm)
+
+    monkeypatch.setattr(oracle, "valid_configs", counted_valid_configs)
+    monkeypatch.setattr(fx, "valid_configs", counted_valid_configs)
+    monkeypatch.setattr(ab, "apply", lambda *args: applied.append(args) or apply(*args))
     alpha = ab.parse_abstraction("proj(A) || join(!A)", space)
     report = oracle.check_instance(s1, alpha, seed=4, cases=5)
-    assert len(calls) == 1
+    assert enumerated.count(s1.feature_model) == 1
+    assert len(applied) == 1
     assert report.render_text() == (
         "soundness: pass (5 cases)\ncommutation: pass (5 cases)\nall properties passed\n"
     )
+    # the suite applies once per case and enumerates the family and its
+    # rewrite once each, also while shrinking a failure
+    enumerated.clear()
+    applied.clear()
+    report = oracle.check_commutation(CaseGen(3), cases=20)
+    assert report.passed
+    assert (len(applied), len(enumerated)) == (20, 40)
+    broken = Store.of(CONST, {"_": intval(7)})
+    monkeypatch.setattr(oracle, "analyze_lifted", lambda body, entry: entry.map(lambda _: broken))
+    enumerated.clear()
+    applied.clear()
+    report = oracle.check_commutation(CaseGen(3), cases=20)
+    assert len(report.failures) > 10  # each one shrunk through many candidates
+    assert (len(applied), len(enumerated)) == (20, 40)
 
 
 def test_report_text_format():

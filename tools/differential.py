@@ -19,6 +19,16 @@ case:
   lattices) and `liftcal reconfigure` on the running examples S1 and S2, the
   11-feature chain, the 6-feature chain under fignore and fproj, and two
   loop families: exit code, stdout and stderr.
+- `liftcal check` (text and json, --seed 1, both lattices, 200 cases per
+  property) and `liftcal check FILE --abs` (both lattices, --seed 1, 20
+  cases) on S1 and S2 under join and a projection-join split, the
+  11-feature chain under join and the split, the 6-feature chain under
+  fignore(A1) and a loop family under the split: exit code, stdout and
+  stderr.
+- each oracle.CHECKS property at 100 cases on its own stream (seed 1 plus
+  its position, as check_all seeds it), both lattices: the report text and
+  the generator's random state after the run, which changes with any change
+  to the order or number of draws.
 - valid_configs of rewritten families: the 6-, 7- and 8-feature chains and
   nested families (`#if (Ak) { #if (A1 | Ak) { x := x + 1 } }` for k = 2..n)
   reconfigured under fignore(A1) and fproj(A1, A2): the rewritten feature
@@ -82,6 +92,17 @@ def nested_text(n):
     ]
     return f"features {', '.join(names)};\nmodel true;\nbegin\n  " + "; ".join(body) + "\nend\n"
 
+
+# liftcal check FILE --abs: family name -> (program text, abstraction specs)
+CHECK_FAMILIES = {
+    "S1": (S1, ["join", "proj(A) || join(!A)"]),
+    "S2": (S2, ["join", "proj(B) || join(!B)"]),
+    "chain11": (chain_text(11), ["join", SPLIT]),
+    "fignore6": (chain_text(6), ["fignore(A1)"]),
+    "loops1": (loops_text(1), [SPLIT]),
+}
+CHECK_CASES = "20"
+PROPERTY_CASES = 100
 
 # rewritten families whose valid_configs are fingerprinted: name -> (text of n, sizes n)
 REWRITTEN = {"chain": (chain_text, (6, 7, 8)), "nested": (nested_text, (6, 7, 8))}
@@ -191,6 +212,35 @@ def cli_hashes():
     return out
 
 
+def check_hashes():
+    out = {}
+    for lattice in LATTICES:
+        for fmt in ("text", "json"):
+            argv = ["check", "--seed", "1", "--lattice", lattice, "--format", fmt]
+            out[" ".join(argv)] = _run_cli(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, (text, specs) in CHECK_FAMILIES.items():
+            path = Path(tmp) / f"{family}.imp"
+            path.write_text(text, encoding="utf-8")
+            for spec in specs:
+                for lattice in LATTICES:
+                    argv = ["check", str(path), "--abs", spec, "--seed", "1",
+                            "--cases", CHECK_CASES, "--lattice", lattice]
+                    out[" ".join([family, *argv[:1], *argv[2:]])] = _run_cli(argv)
+    return out
+
+
+def property_hashes():
+    out = {}
+    for name, lattice in LATTICES.items():
+        for offset, (prop, check) in enumerate(oracle.CHECKS.items()):
+            gen = oracle.CaseGen(1 + offset, lattice=lattice)
+            text = oracle.Report([check(gen, PROPERTY_CASES)]).render_text()
+            text += repr(gen.rng.getstate())
+            out[f"property {prop} {name}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def diff(old_path, new_path):
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -208,7 +258,9 @@ def main(argv):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    hashes = {**case_hashes(), **cli_hashes(), **enum_hashes()}
+    hashes = {
+        **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes()
+    }
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
     return 0
