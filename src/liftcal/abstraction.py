@@ -62,7 +62,7 @@ from functools import cache, partial
 from itertools import compress
 
 from . import featexp, lang
-from .errors import ParseError, SemanticError, UndeclaredFeature
+from .errors import SemanticError, UndeclaredFeature
 from .featexp import (
     FALSE,
     And,
@@ -80,7 +80,7 @@ from .featexp import (
     valuations_masker,
 )
 from .lattice import CONST, LiftedStore, Store
-from .lexer import Cursor, tokenize
+from .lexer import Cursor
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +670,9 @@ def parse_abstraction_cursor(cur, space):
             inner = product_level()
             cur.expect("sym", ")")
             return inner
-        tok = cur.current
-        if tok.kind != "ident":
+        if cur.current[0] != "ident":
             cur.error("expected an abstraction")
-        word = cur.advance().text
+        word = cur.advance()[1]
         if word == "join":
             if cur.at_sym("("):
                 cur.advance()
@@ -706,17 +705,16 @@ def parse_abstraction_cursor(cur, space):
 
 def _feature_name(cur, space):
     tok = cur.expect("ident")
-    if space is not None and tok.text not in space:
-        raise UndeclaredFeature(tok.text, tok.line, tok.col)
-    return tok.text
+    name = tok[1]
+    if space is not None and name not in space:
+        raise UndeclaredFeature(name, *cur.where(tok))
+    return name
 
 
 def parse_abstraction(text, space=None):
-    cur = Cursor(tokenize(text))
+    cur = Cursor(text)
     alpha = parse_abstraction_cursor(cur, space)
-    if not cur.at("eof"):
-        tok = cur.current
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    cur.finish()
     return alpha
 
 

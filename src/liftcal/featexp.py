@@ -28,7 +28,7 @@ from itertools import compress
 from itertools import product as _cartesian
 
 from .errors import ParseError, SemanticError, UndeclaredFeature
-from .lexer import Cursor, tokenize
+from .lexer import Cursor
 
 MAX_ENUM_FEATURES = 20
 
@@ -654,57 +654,46 @@ def valid_configs(fm):
 #   "|" and "&" left-associative.
 
 
-def parse_featexp_cursor(cur, space):
-    def implies_level():
-        left = or_level()
-        if cur.at_sym("=>"):
-            cur.advance()
-            return Implies(left, implies_level())
-        return left
+_OPERATORS = {"=>": (1, Implies), "|": (2, Or), "&": (3, And)}
 
-    def or_level():
-        left = and_level()
-        while cur.at_sym("|"):
-            cur.advance()
-            left = Or(left, and_level())
-        return left
 
-    def and_level():
-        left = unary_level()
-        while cur.at_sym("&"):
-            cur.advance()
-            left = And(left, unary_level())
-        return left
+def parse_featexp_cursor(cur, space, minimum=1):
+    """A feature expression whose operators bind at least as tightly as
+    `minimum`, by precedence climbing."""
+    left = _parse_unary(cur, space)
+    while True:
+        level, make = _OPERATORS.get(cur.current[1], (0, None))
+        if level < minimum:
+            return left
+        cur.advance()
+        if make is Implies:  # right-associative, and nothing follows it
+            return Implies(left, parse_featexp_cursor(cur, space))
+        left = make(left, parse_featexp_cursor(cur, space, level + 1))
 
-    def unary_level():
-        if cur.at_sym("!"):
-            cur.advance()
-            return Not(unary_level())
-        if cur.at_sym("("):
-            cur.advance()
-            inner = implies_level()
-            cur.expect("sym", ")")
-            return inner
-        tok = cur.current
-        if tok.kind == "ident":
-            cur.advance()
-            if tok.text == "true":
-                return TRUE
-            if tok.text == "false":
-                return FALSE
-            if space is not None and tok.text not in space:
-                raise UndeclaredFeature(tok.text, tok.line, tok.col)
-            return Atom(tok.text)
-        cur.error("expected a feature expression")
 
-    return implies_level()
+def _parse_unary(cur, space):
+    tok = cur.advance()
+    kind, text, _ = tok
+    if kind == "ident":
+        if text == "true":
+            return TRUE
+        if text == "false":
+            return FALSE
+        if space is not None and text not in space:
+            raise UndeclaredFeature(text, *cur.where(tok))
+        return Atom(text)
+    if text == "!":
+        return Not(_parse_unary(cur, space))
+    if text == "(":
+        inner = parse_featexp_cursor(cur, space)
+        cur.expect("sym", ")")
+        return inner
+    raise ParseError("expected a feature expression", *cur.where(tok))
 
 
 def parse_featexp(text, space=None):
     """Parse a feature expression; identifiers must be declared in `space`."""
-    cur = Cursor(tokenize(text))
+    cur = Cursor(text)
     phi = parse_featexp_cursor(cur, space)
-    if not cur.at("eof"):
-        tok = cur.current
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    cur.finish()
     return phi

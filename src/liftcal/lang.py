@@ -13,14 +13,16 @@ precedence (* tightest, comparisons loosest).  Comparisons yield 1/0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import featexp
 from .errors import ParseError, SemanticError
 from .featexp import FeatExp, FeatureModel, FeatureSpace
-from .lexer import Cursor, tokenize
+from .lexer import Cursor
 
 BINOPS = ("+", "-", "*", "<", "=")
+# binding strength of each operator: comparisons loosest, * tightest
+_PRECEDENCE = {"<": 1, "=": 1, "+": 2, "-": 2, "*": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +149,78 @@ def with_children(stmt, new_children):
     return stmt
 
 
+def preorder(stmt):
+    """The nodes of stmt in preorder, walked with an explicit stack."""
+    order = []
+    stack = [stmt]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        order.append(node)
+        # `children`, inlined and pushed last child first: every parse and
+        # every data-flow system walks this loop
+        kind = type(node)
+        if kind is Seq:
+            push(node.second)
+            push(node.first)
+        elif kind is IfDef or kind is While:
+            push(node.body)
+        elif kind is If:
+            push(node.orelse)
+            push(node.then)
+        elif kind is Lub:
+            push(node.right)
+            push(node.left)
+    return order
+
+
+def _rebuild(stmt, numbered):
+    """A copy of stmt labelled 0..n-1 in preorder if numbered, else all -1.
+
+    Builds in reverse preorder, so each node's children are built before it
+    and wait on `done` with the first child on top.
+    """
+    order = preorder(stmt)
+    done = []
+    pop, push = done.pop, done.append
+    for label in range(len(order) - 1, -1, -1):
+        node = order[label]
+        if not numbered:
+            label = -1
+        kind = type(node)
+        # arguments evaluate left to right: the first pop is the first child
+        if kind is Seq:
+            push(Seq(pop(), pop(), label))
+        elif kind is Assign:
+            push(Assign(node.var, node.expr, label))
+        elif kind is IfDef:
+            push(IfDef(node.cond, pop(), label))
+        elif kind is Skip:
+            push(Skip(label))
+        elif kind is If:
+            push(If(node.cond, pop(), pop(), label))
+        elif kind is While:
+            push(While(node.cond, pop(), label))
+        elif kind is Lub:
+            push(Lub(pop(), pop(), label))
+        else:
+            raise TypeError(f"not a statement: {node!r}")
+    return done[0]
+
+
 def relabel(stmt):
     """A copy of stmt with labels 0..n-1 assigned in preorder."""
-    counter = [0]
-
-    def go(node):
-        label = counter[0]
-        counter[0] += 1
-        node = replace(node, label=label)
-        kids = children(node)
-        if kids:
-            node = with_children(node, tuple(go(kid) for kid in kids))
-        return node
-
-    return go(stmt)
+    return _rebuild(stmt, True)
 
 
 def labels_of(stmt):
     """Mapping label -> statement node, in preorder."""
-    table = {}
-
-    def go(node):
-        table[node.label] = node
-        for kid in children(node):
-            go(kid)
-
-    go(stmt)
-    return table
+    return {node.label: node for node in preorder(stmt)}
 
 
 def strip_labels(stmt):
     """Structural copy with all labels reset, for label-insensitive comparison."""
-    node = replace(stmt, label=-1)
-    kids = children(node)
-    if kids:
-        node = with_children(node, tuple(strip_labels(kid) for kid in kids))
-    return node
+    return _rebuild(stmt, False)
 
 
 def seq_all(stmts):
@@ -221,53 +259,39 @@ def stmt_equal(a, b):
 # Parsing
 
 
-def _parse_expr(cur):
-    def cmp_level():
-        left = add_level()
-        while cur.at_sym("<", "="):
-            op = cur.advance().text
-            left = BinOp(op, left, add_level())
-        return left
+def _parse_expr(cur, minimum=1):
+    """An expression whose operators bind at least as tightly as `minimum`,
+    by precedence climbing; every operator is left-associative."""
+    left = _parse_atom(cur)
+    while True:
+        op = cur.current[1]
+        level = _PRECEDENCE.get(op, 0)
+        if level < minimum:
+            return left
+        cur.advance()
+        left = BinOp(op, left, _parse_expr(cur, level + 1))
 
-    def add_level():
-        left = mul_level()
-        while cur.at_sym("+", "-"):
-            op = cur.advance().text
-            left = BinOp(op, left, mul_level())
-        return left
 
-    def mul_level():
-        left = atom_level()
-        while cur.at_sym("*"):
-            cur.advance()
-            left = BinOp("*", left, atom_level())
-        return left
-
-    def atom_level():
-        if cur.at_sym("("):
-            cur.advance()
-            inner = cmp_level()
-            cur.expect("sym", ")")
-            return inner
-        if cur.at_sym("-"):
-            # unary minus desugars to 0 - e
-            cur.advance()
-            return BinOp("-", Num(0), atom_level())
-        tok = cur.current
-        if tok.kind == "num":
-            cur.advance()
-            try:
-                return Num(int(tok.text))
-            except ValueError:  # past Python's digit limit, or non-ASCII digits
-                raise ParseError(
-                    f"cannot read integer literal of {len(tok.text)} digits", tok.line, tok.col
-                ) from None
-        if tok.kind == "ident":
-            cur.advance()
-            return Var(tok.text)
-        cur.error("expected an expression")
-
-    return cmp_level()
+def _parse_atom(cur):
+    tok = cur.advance()
+    kind, text, _ = tok
+    if kind == "num":
+        try:
+            return Num(int(text))
+        except ValueError:  # past Python's digit limit, or non-ASCII digits
+            raise ParseError(
+                f"cannot read integer literal of {len(text)} digits", *cur.where(tok)
+            ) from None
+    if kind == "ident":
+        return Var(text)
+    if text == "(":
+        inner = _parse_expr(cur)
+        cur.expect("sym", ")")
+        return inner
+    if text == "-":
+        # unary minus desugars to 0 - e
+        return BinOp("-", Num(0), _parse_atom(cur))
+    raise ParseError("expected an expression", *cur.where(tok))
 
 
 def _parse_block(cur, space):
@@ -278,37 +302,34 @@ def _parse_block(cur, space):
 
 
 def _parse_simple_stmt(cur, space):
-    if cur.at("ident", "skip"):
+    kind, word, _ = cur.current
+    if kind == "ident":
         cur.advance()
-        return Skip()
-    if cur.at("ident", "if"):
-        cur.advance()
-        cur.expect("sym", "(")
-        cond = _parse_expr(cur)
-        cur.expect("sym", ")")
-        then = _parse_block(cur, space)
-        cur.expect("ident", "else")
-        orelse = _parse_block(cur, space)
-        return If(cond, then, orelse)
-    if cur.at("ident", "while"):
-        cur.advance()
-        cur.expect("sym", "(")
-        cond = _parse_expr(cur)
-        cur.expect("sym", ")")
-        body = _parse_block(cur, space)
-        return While(cond, body)
-    if cur.at_sym("#if"):
+        if word == "skip":
+            return Skip()
+        if word == "if":
+            cur.expect("sym", "(")
+            cond = _parse_expr(cur)
+            cur.expect("sym", ")")
+            then = _parse_block(cur, space)
+            cur.expect("ident", "else")
+            orelse = _parse_block(cur, space)
+            return If(cond, then, orelse)
+        if word == "while":
+            cur.expect("sym", "(")
+            cond = _parse_expr(cur)
+            cur.expect("sym", ")")
+            body = _parse_block(cur, space)
+            return While(cond, body)
+        cur.expect("sym", ":=")
+        return Assign(word, _parse_expr(cur))
+    if word == "#if":
         cur.advance()
         cur.expect("sym", "(")
         cond = featexp.parse_featexp_cursor(cur, space)
         cur.expect("sym", ")")
         body = _parse_block(cur, space)
         return IfDef(cond, body)
-    tok = cur.current
-    if tok.kind == "ident":
-        cur.advance()
-        cur.expect("sym", ":=")
-        return Assign(tok.text, _parse_expr(cur))
     cur.error("expected a statement")
 
 
@@ -322,12 +343,12 @@ def _parse_stmt(cur, space):
 
 def parse_program(text):
     """Parse a program file into a fully labeled Program."""
-    cur = Cursor(tokenize(text))
+    cur = Cursor(text)
     cur.expect("ident", "features")
-    names = [cur.expect("ident").text]
+    names = [cur.expect("ident")[1]]
     while cur.at_sym(","):
         cur.advance()
-        names.append(cur.expect("ident").text)
+        names.append(cur.expect("ident")[1])
     cur.expect("sym", ";")
     space = FeatureSpace(tuple(names))
     cur.expect("ident", "model")
@@ -336,9 +357,7 @@ def parse_program(text):
     cur.expect("ident", "begin")
     body = _parse_stmt(cur, space)
     cur.expect("ident", "end")
-    if not cur.at("eof"):
-        tok = cur.current
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    cur.finish()
     return Program(FeatureModel(space, psi), relabel(body))
 
 
@@ -348,13 +367,7 @@ def parse_program(text):
 
 def pretty_expr(expr):
     def prec(node):
-        if isinstance(node, BinOp):
-            if node.op in ("<", "="):
-                return 1
-            if node.op in ("+", "-"):
-                return 2
-            return 3
-        return 4
+        return _PRECEDENCE[node.op] if isinstance(node, BinOp) else 4
 
     def go(node, minimum):
         if isinstance(node, Num):

@@ -403,7 +403,7 @@ def _galois_case(gen, alpha, configs, variables, report, index, gamma_fn=None):
         report.fail(index, f"alpha is not a finite join morphism for {ab.render_abstraction(alpha)}")
 
 
-def check_galois(gen, cases=200, alpha=None, space=None, configs=None, gamma_fn=None):
+def check_galois(gen, cases=200, alpha=None, configs=None, gamma_fn=None):
     """Galois laws on random or fixed abstraction instances."""
     report = PropertyReport("galois-laws")
     for i in range(cases):
@@ -455,9 +455,11 @@ def check_soundness(gen, cases=200):
         meanings = ab.meaning_configs(alpha, configs.space, configs)
         variables = _program_variables(gen, program)
         d_bar = gen_lifted(gen, meanings, variables)
+        # gamma reads neither the program nor the generator: one call serves
+        # the sandwich, its shrink candidates and the expression check
+        concrete = ab.gamma_apply(alpha, configs, d_bar, gen.lattice)
 
-        def fails(p, d_bar=d_bar, alpha=alpha, configs=configs, meanings=meanings):
-            concrete = ab.gamma_apply(alpha, configs, d_bar, gen.lattice)
+        def fails(p, d_bar=d_bar, concrete=concrete, configs=configs, meanings=meanings):
             lifted_out = analyze_lifted(p.body, concrete)
             lhs = ab.alpha_over(meanings, configs, lifted_out, gen.lattice)
             return not lhs.leq(analyze_abstracted(p.body, d_bar))
@@ -468,7 +470,6 @@ def check_soundness(gen, cases=200):
             continue
         # expression soundness through one-variable stores
         expr = gen_expr(gen)
-        concrete = ab.gamma_apply(alpha, configs, d_bar, gen.lattice)
         values = tuple(eval_expr(expr, s) for s in concrete.stores)
         wrapped = LiftedStore(
             configs, tuple(Store.of(gen.lattice, {"_": v}) for v in values)

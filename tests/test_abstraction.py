@@ -403,7 +403,7 @@ def test_galois_laws_fixed_instances(space, configs):
     for text in ("join", "proj(A)", "join(B)", "fignore(A)", "(proj(A) >> join) || proj(B)"):
         alpha = ab.parse_abstraction(text, space)
         report = check_galois(
-            CaseGen(7), cases=60, alpha=alpha, space=space, configs=configs
+            CaseGen(7), cases=60, alpha=alpha, configs=configs
         )
         assert report.passed, report.failures
 

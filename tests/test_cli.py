@@ -291,6 +291,18 @@ def test_deep_program_exits_2_without_traceback(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_deeply_nested_if_answers_or_exits_2(capsys, tmp_path):
+    deep = tmp_path / "nested.imp"
+    depth = 10_000
+    body = "if (x) { " * depth + "skip" + " } else { skip }" * depth
+    deep.write_text(f"features A; model true; begin {body} end")
+    code, _, err = run(capsys, "analyze", str(deep))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err == "error: input nests too deeply to process\n"
+
+
 def test_repeated_squaring_widens_to_top(capsys, tmp_path):
     family = tmp_path / "square.imp"
     body = "; ".join(["x := 2"] + ["x := x * x"] * 14)

@@ -64,6 +64,38 @@ def test_labels_are_preorder_dense(s1):
     assert labels == list(range(len(labels)))
 
 
+def test_relabel_numbers_every_statement_kind_in_preorder():
+    text = (
+        "features A; model true; begin x := 0; while (x < 3) { x := x + 1; "
+        "#if (A) { if (x) { skip } else { y := 1 } } }; skip end"
+    )
+    body = lang.parse_program(text).body
+    mixed = lang.relabel(lang.Lub(body, lang.Seq(lang.Skip(label=9), body, label=4)))
+    labels = labels_in_preorder(mixed)
+    assert labels == list(range(len(labels)))
+    assert list(lang.labels_of(mixed)) == labels
+    stripped = lang.strip_labels(mixed)
+    assert set(labels_in_preorder(stripped)) == {-1}
+    assert lang.strip_labels(lang.relabel(stripped)) == stripped
+
+
+def test_long_chain_parses_with_dense_preorder_labels():
+    # the statement parser loops over ';' and the label walkers keep explicit
+    # stacks, so a chain this long parses at the default recursion limit
+    n = 100_000
+    body = lang.parse_program(
+        "features A; model true; begin " + "; ".join(["x := 1"] * n) + " end"
+    ).body
+    node = body
+    for i in range(n - 1):
+        assert isinstance(node, lang.Seq) and node.label == 2 * i
+        assert isinstance(node.first, lang.Assign) and node.first.label == 2 * i + 1
+        node = node.second
+    assert isinstance(node, lang.Assign) and node.label == 2 * n - 2
+    assert len(lang.labels_of(body)) == 2 * n - 1
+    assert lang.strip_labels(body).second.first.label == -1
+
+
 def test_pretty_parse_round_trip(s1):
     text = lang.pretty(s1)
     reparsed = lang.parse_program(text)

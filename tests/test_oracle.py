@@ -115,7 +115,7 @@ def test_corrupted_gamma_is_reported():
     configs = fx.valid_configs(fx.FeatureModel(space, fx.parse_featexp("A | B", space)))
     broken = lambda d: LiftedStore.bot(configs, CONST)
     report = oracle.check_galois(
-        CaseGen(2), cases=40, alpha=ab.Join(), space=space, configs=configs, gamma_fn=broken
+        CaseGen(2), cases=40, alpha=ab.Join(), configs=configs, gamma_fn=broken
     )
     assert not report.passed
     assert any("adjunction" in message or "extensive" in message for _, message in report.failures)

@@ -33,6 +33,10 @@ case:
   nested families (`#if (Ak) { #if (A1 | Ak) { x := x + 1 } }` for k = 2..n)
   reconfigured under fignore(A1) and fproj(A1, A2): the rewritten feature
   space and every valuation, in order.
+- the tokens of every program text and abstraction spec above, as
+  (kind, text, line, column), and the ParseError (type, message, line, column) of
+  parse_program, parse_abstraction or parse_featexp on a fixed corpus of
+  malformed inputs.
 
 `--diff` exits 1 when a key differs or is missing on one side.
 """
@@ -52,9 +56,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from liftcal import abstraction as ab  # noqa: E402
-from liftcal import cli, featexp, lang, oracle  # noqa: E402
+from liftcal import cli, featexp, lang, lexer, oracle  # noqa: E402
 from liftcal.abstracted import analyze_abstracted, build_dataflow, solve_dataflow  # noqa: E402
-from liftcal.errors import LiftcalError  # noqa: E402
+from liftcal.errors import LiftcalError, ParseError  # noqa: E402
 from liftcal.lattice import CONST, CONST_PLUS  # noqa: E402
 from liftcal.lifted import analyze_lifted  # noqa: E402
 from liftcal.reconfig import reconfigure  # noqa: E402
@@ -107,6 +111,34 @@ PROPERTY_CASES = 100
 # rewritten families whose valid_configs are fingerprinted: name -> (text of n, sizes n)
 REWRITTEN = {"chain": (chain_text, (6, 7, 8)), "nested": (nested_text, (6, 7, 8))}
 REWRITES = ("fignore(A1)", "fproj(A1, A2)")
+
+# malformed inputs: name -> (parser, text); programs declare A and B
+_HEAD = "features A, B; model A | B;\nbegin\n  "
+MALFORMED = {
+    "unexpected character": ("program", _HEAD + "x := 1 $ end"),
+    "superscript digit": ("program", _HEAD + "x := \u00b2 end"),
+    "truncated #if": ("program", _HEAD + "#i (A) { skip } end"),
+    "trailing input": ("program", _HEAD + "skip end end"),
+    "5000-digit literal": ("program", _HEAD + "x := " + "7" * 5000 + " end"),
+    "unclosed brace": ("program", _HEAD + "#if (A) { x := 1 end"),
+    "unclosed paren": ("program", _HEAD + "x := (1 + 2 end"),
+    "missing operand": ("program", _HEAD + "x := 1 < end"),
+    "missing else": ("program", _HEAD + "if (x) { skip } end"),
+    "assignment with =": ("program", _HEAD + "x = 1 end"),
+    "undeclared feature": ("program", _HEAD + "#if (C) { skip } end"),
+    "numeral not a digit": ("program", _HEAD + "x \u00bd:= 1 end"),
+    "missing comma": ("program", "features A B; model true; begin skip end"),
+    "empty text": ("program", ""),
+    "unknown abstraction": ("abstraction", "foo"),
+    "unclosed proj": ("abstraction", "proj(A"),
+    "dangling product": ("abstraction", "join ||"),
+    "undeclared fignore": ("abstraction", "fignore(C)"),
+    "trailing abstraction": ("abstraction", "join(A) join"),
+    "dangling and": ("featexp", "A & "),
+    "double or": ("featexp", "A | | B"),
+    "trailing feature": ("featexp", "A B"),
+    "non-ASCII letter": ("featexp", "A \u00e9"),
+}
 
 
 def _stores(lifted):
@@ -241,6 +273,52 @@ def property_hashes():
     return out
 
 
+def _token_rows(text):
+    """(kind, text, line, column) of every token.  Tokens are (kind, text,
+    offset) tuples; checkouts before the one-pattern scanner return Token
+    objects that carry line and column."""
+    rows = []
+    for tok in lexer.tokenize(text):
+        if isinstance(tok, tuple):
+            kind, word, offset = tok
+            rows.append((kind, word, *lexer.position(text, offset)))
+        else:
+            rows.append((tok.kind, tok.text, tok.line, tok.col))
+    return rows
+
+
+def parse_hashes():
+    out = {}
+    texts = {}
+    for family, (text, specs) in [*FAMILIES.items(), *CHECK_FAMILIES.items()]:
+        texts[f"program {family}"] = text
+        for spec in specs:
+            if spec is not None:
+                texts[f"spec {spec}"] = spec
+    for family, (text_of, sizes) in REWRITTEN.items():
+        for n in sizes:
+            texts[f"program {family}{n}"] = text_of(n)
+    for spec in REWRITES:
+        texts[f"spec {spec}"] = spec
+    for name, text in texts.items():
+        digest = hashlib.sha256(repr(_token_rows(text)).encode()).hexdigest()
+        out[f"tokens {name}"] = digest
+    space = featexp.FeatureSpace(("A", "B"))
+    parsers = {
+        "program": lang.parse_program,
+        "abstraction": lambda text: ab.parse_abstraction(text, space),
+        "featexp": lambda text: featexp.parse_featexp(text, space),
+    }
+    for name, (parser, text) in MALFORMED.items():
+        try:
+            parsers[parser](text)
+            result = "parsed"
+        except ParseError as exc:
+            result = repr((type(exc).__name__, str(exc), exc.line, exc.col))
+        out[f"parse error {name}"] = hashlib.sha256(result.encode()).hexdigest()
+    return out
+
+
 def diff(old_path, new_path):
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -259,7 +337,8 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     hashes = {
-        **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes()
+        **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
+        **parse_hashes(),
     }
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
