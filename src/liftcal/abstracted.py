@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 from . import featexp, lang
 from .errors import SemanticError
-from .lattice import LiftedStore, Store, shared
-from .lifted import UNTOUCHED, analyze, eval_expr, ifdef_cases, merge_ifdef
+from .lattice import LiftedStore, Store, combine
+from .lifted import (
+    CASES, UNTOUCHED, analyze, analyze_expr_lifted, eval_expr, ifdef_cases, merge_ifdef
+)
 
 
 def analyze_expr_abstracted(expr, store):
     """Per-component expression values over an abstracted store."""
-    return tuple(eval_expr(expr, s) for s in store.stores)
+    return analyze_expr_lifted(expr, store)
 
 
 def analyze_abstracted(stmt, store):
@@ -77,7 +79,7 @@ def solve_dataflow(system, entry):
     program takes one sweep.  The least solution is unique, so the order
     does not change it; termination follows from the finite lattice height.
     """
-    lattice = entry.stores[0].lattice if entry.stores else system.lattice
+    lattice = entry.table[0].lattice if entry.table else system.lattice
     configs = entry.configs
     bottom = LiftedStore.bot(configs, lattice)
     ins = {label: bottom for label in system.statements}
@@ -114,7 +116,7 @@ def solve_dataflow(system, entry):
         if isinstance(parent, lang.IfDef):
             cases = ifdef_cases_by_label[parent.label]
             src = ins[parent.label]
-            return src.with_stores(shared(guard, cases, src.stores))
+            return combine(guard, configs, (CASES, src.table), (cases, src.index))
         raise TypeError(f"unexpected parent: {parent!r}")
 
     def compute_out(stmt):

@@ -79,7 +79,7 @@ from .featexp import (
     named_meaning,
     valuations_masker,
 )
-from .lattice import CONST, LiftedStore, Store
+from .lattice import CONST, Store, tabulate
 from .lexer import Cursor
 
 
@@ -566,8 +566,8 @@ def named_view(out):
 def _infer_lattice(store, lattice):
     if lattice is not None:
         return lattice
-    if store.stores:
-        return store.stores[0].lattice
+    if store.table:
+        return store.table[0].lattice
     return CONST
 
 
@@ -583,24 +583,28 @@ def alpha_over(out_configs, configs, store, lattice=None):
 
     Alpha reads the given set the way gamma reads its store's index: each
     component is the join of the distinct stores of the configurations its
-    cover holds, each store object joined once.
+    cover holds, each table entry joined once.
     """
     if store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
+    table = store.table
+
+    def joined(codes):
+        if len(codes) == 1:
+            return table[codes[0]]
+        out = Store.bot(lattice)
+        for code in codes:
+            out = out.join(table[code])
+        return out
+
     # concrete configurations cover one universe bit each
-    at = {c.bit_length() - 1: s for c, s in zip(configs.covers, store.stores)}
-    out = []
-    for cover in out_configs.covers:
-        stores = list({id(s): s for s in map(at.__getitem__, bit_indices(cover))}.values())
-        if len(stores) == 1:
-            out.append(stores[0])
-            continue
-        joined = Store.bot(lattice)
-        for s in stores:
-            joined = joined.join(s)
-        out.append(joined)
-    return LiftedStore(out_configs, tuple(out))
+    at = {c.bit_length() - 1: code for c, code in zip(configs.covers, store.index)}
+    keys = [
+        tuple(dict.fromkeys(map(at.__getitem__, bit_indices(cover))))
+        for cover in out_configs.covers
+    ]
+    return tabulate(joined, out_configs, keys)
 
 
 def gamma_apply(alpha, configs, store, lattice=None):
@@ -614,14 +618,20 @@ def gamma_apply(alpha, configs, store, lattice=None):
     universe = store.configs.universe
     if universe is not configs.universe and universe.valuations != configs.universe.valuations:
         raise SemanticError("abstract store is not indexed over the given configurations")
-    met = {}
-    for cover, d in zip(store.configs.covers, store.stores):
-        for b in bit_indices(cover):
-            met[b] = met[b].meet(d) if b in met else d
+    table = store.table
     top = Store.top(lattice)
-    return LiftedStore(
-        configs, tuple(met.get(c.bit_length() - 1, top) for c in configs.covers)
-    )
+
+    def met(codes):
+        out = table[codes[0]] if codes else top
+        for code in codes[1:]:
+            out = out.meet(table[code])
+        return out
+
+    covering = {}  # universe bit -> table positions of the components covering it
+    for cover, code in zip(store.configs.covers, store.index):
+        for b in bit_indices(cover):
+            covering[b] = covering.get(b, ()) + (code,)
+    return tabulate(met, configs, [covering.get(c.bit_length() - 1, ()) for c in configs.covers])
 
 
 def fignore_expand(feature, configs):
@@ -672,7 +682,8 @@ def parse_abstraction_cursor(cur, space):
             return inner
         if cur.current[0] != "ident":
             cur.error("expected an abstraction")
-        word = cur.advance()[1]
+        tok = cur.advance()
+        word = tok[1]
         if word == "join":
             if cur.at_sym("("):
                 cur.advance()
@@ -698,7 +709,7 @@ def parse_abstraction_cursor(cur, space):
                 names.append(_feature_name(cur, space))
             cur.expect("sym", ")")
             return FProj(tuple(names))
-        cur.error(f"unknown abstraction {word!r}")
+        cur.error(f"unknown abstraction {word!r}", tok)
 
     return product_level()
 

@@ -5,16 +5,24 @@ additionally has the two sign values <=0 and >=0 sitting between the integers
 and top.  The abstract binary operator is exact on integer pairs, strict in
 bot, and top otherwise; in particular it is not sign-aware on Const+, where
 precision comes from joins rather than from arithmetic.
+
+A lifted store holds one store per configuration as a table of distinct
+stores plus a small-int index per component.  Its operations run their
+store function once per distinct store, or per distinct tuple of stores
+across operands; only the keying and the `#if` case split stay per
+component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import SemanticError
 from .featexp import ConfigSet
 
 _BOT, _INT, _LEQ0, _GEQ0, _TOP = "bot", "int", "<=0", ">=0", "top"
+_SIGNS = (_LEQ0, _GEQ0)
 
 
 @dataclass(frozen=True)
@@ -79,31 +87,25 @@ class Lattice:
         return BOT
 
     def check(self, v):
-        if v.kind in (_LEQ0, _GEQ0) and not self.signed:
+        if v.kind in _SIGNS and not self.signed:
             raise SemanticError(f"{render_value(v)} is not a {self.name} value")
         return v
 
+    def _check_pair(self, a, b):
+        """Each operation's one check: a sign value on an unsigned lattice raises."""
+        if not self.signed and (a.kind in _SIGNS or b.kind in _SIGNS):
+            self.check(a)
+            self.check(b)
+
     def leq(self, a, b):
-        self.check(a)
-        self.check(b)
-        if a.kind == _BOT or b.kind == _TOP:
-            return True
-        if b.kind == _BOT or a.kind == _TOP:
-            return False
-        if a.kind == _INT and b.kind == _INT:
-            return a.n == b.n
-        if a.kind == _INT and b.kind == _LEQ0:
-            return a.n <= 0
-        if a.kind == _INT and b.kind == _GEQ0:
-            return a.n >= 0
-        return a.kind == b.kind
+        self._check_pair(a, b)
+        return _leq(a, b)
 
     def join(self, a, b):
-        self.check(a)
-        self.check(b)
-        if self.leq(a, b):
+        self._check_pair(a, b)
+        if _leq(a, b):
             return b
-        if self.leq(b, a):
+        if _leq(b, a):
             return a
         if self.signed and a.kind == _INT and b.kind == _INT:
             if a.n >= 0 and b.n >= 0:
@@ -115,13 +117,12 @@ class Lattice:
         return TOP
 
     def meet(self, a, b):
-        self.check(a)
-        self.check(b)
-        if self.leq(a, b):
+        self._check_pair(a, b)
+        if _leq(a, b):
             return a
-        if self.leq(b, a):
+        if _leq(b, a):
             return b
-        if a.kind in (_LEQ0, _GEQ0) and b.kind in (_LEQ0, _GEQ0):
+        if a.kind in _SIGNS and b.kind in _SIGNS:
             return intval(0)
         return BOT
 
@@ -130,8 +131,7 @@ class Lattice:
 
         Comparisons yield the integers 1/0 so that they fit the same lattice.
         """
-        self.check(a)
-        self.check(b)
+        self._check_pair(a, b)
         if a.kind == _BOT or b.kind == _BOT:
             return BOT
         if a.kind == _INT and b.kind == _INT:
@@ -147,6 +147,21 @@ class Lattice:
                 return intval(1 if a.n == b.n else 0)
             raise SemanticError(f"unknown operator: {op}")
         return TOP
+
+
+def _leq(a, b):
+    """The order on values, whichever lattice holds them."""
+    if a.kind == _BOT or b.kind == _TOP:
+        return True
+    if b.kind == _BOT or a.kind == _TOP:
+        return False
+    if a.kind == _INT and b.kind == _INT:
+        return a.n == b.n
+    if a.kind == _INT and b.kind == _LEQ0:
+        return a.n <= 0
+    if a.kind == _INT and b.kind == _GEQ0:
+        return a.n >= 0
+    return a.kind == b.kind
 
 
 CONST = Lattice("const", signed=False)
@@ -244,71 +259,138 @@ class Store:
 # Lifted stores
 
 
-def shared(fn, *columns):
-    """fn over aligned sequences, computed once per distinct tuple of input objects.
-
-    The inputs are keyed by object identity, which is sound because the
-    sequences keep every input alive for the whole call.  Each new result is
-    swapped for an equal one already produced, so equal results come back as
-    one object and the sharing carries over to the next operation.
-    """
-    keys = list(zip(*[map(id, column) for column in columns]))
-    firsts = dict(zip(keys, zip(*columns)))
-    canon, results = {}, {}
-    for key, args in firsts.items():
-        result = fn(*args)
-        results[key] = canon.setdefault(result, result)
-    return tuple(map(results.__getitem__, keys))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class LiftedStore:
-    """One store per configuration, ordered like its ConfigSet; equal stores
-    are usually one shared object, and operations run once per object."""
+    """One store per configuration of a ConfigSet, dictionary-encoded.
+
+    `table` holds the distinct stores, by value, in order of first
+    occurrence, and `index` gives each component's position in it, so the
+    index is dense in first-occurrence order.  The form is canonical: two
+    lifted stores are equal exactly when their aligned stores are.  Every
+    operation runs its store function once per table entry, or once per
+    distinct tuple of positions across its operands; per component, only
+    the index columns are walked, by zip and dict in C.
+    """
 
     configs: ConfigSet
-    stores: tuple[Store, ...]
+    table: tuple[Store, ...]
+    index: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.stores) != len(self.configs):
+    def __init__(self, configs, stores):
+        """Encode `stores`, one per member of `configs`, in order."""
+        stores = tuple(stores)
+        if len(stores) != len(configs):
             raise SemanticError("lifted store length must match its configuration set")
+        # keyed by id, a repeated object is hashed once; the tuple keeps every
+        # object alive while its id is a key
+        ids = list(map(id, stores))
+        encoded = tabulate(dict(zip(ids, stores)).__getitem__, configs, ids)
+        _put(self, "configs", configs)
+        _put(self, "table", encoded.table)
+        _put(self, "index", encoded.index)
+
+    def __repr__(self):
+        return f"LiftedStore(configs={self.configs!r}, stores={self.stores!r})"
 
     @staticmethod
     def top(configs, lattice):
-        return LiftedStore(configs, (Store.top(lattice),) * len(configs))
+        return _uniform(configs, Store.top(lattice))
 
     @staticmethod
     def bot(configs, lattice):
-        return LiftedStore(configs, (Store.bot(lattice),) * len(configs))
+        return _uniform(configs, Store.bot(lattice))
+
+    @property
+    def stores(self):
+        """The aligned stores, one per configuration; equal stores are one object."""
+        return tuple(map(self.table.__getitem__, self.index))
 
     def __len__(self):
-        return len(self.stores)
+        return len(self.index)
 
     def _check_match(self, other):
         if self.configs != other.configs:
             raise SemanticError("lifted stores are indexed by different configuration sets")
 
     def map(self, fn):
-        return self.with_stores(shared(fn, self.stores))
+        """fn on every component, called once per distinct store."""
+        return _encode(self.configs, list(map(fn, self.table)), self.index)
 
     def leq(self, other):
         self._check_match(other)
-        return all(shared(Store.leq, self.stores, other.stores))
+        a, b = self.table, other.table
+        return all(a[i].leq(b[j]) for i, j in dict.fromkeys(zip(self.index, other.index)))
 
     def join(self, other):
-        self._check_match(other)
-        return self.with_stores(shared(Store.join, self.stores, other.stores))
+        return self._pointwise(Store.join, other)
 
     def meet(self, other):
+        return self._pointwise(Store.meet, other)
+
+    def _pointwise(self, fn, other):
         self._check_match(other)
-        return self.with_stores(shared(Store.meet, self.stores, other.stores))
+        return combine(fn, self.configs, (self.table, other.table), (self.index, other.index))
 
     def pi(self, phi):
         """The component whose configurations are exactly those satisfying phi."""
-        return self.stores[self.configs.index_of(phi)]
+        return self.table[self.index[self.configs.index_of(phi)]]
 
     def with_stores(self, stores):
-        return LiftedStore(self.configs, tuple(stores))
+        return LiftedStore(self.configs, stores)
+
+
+_put = object.__setattr__  # sets a field of a frozen LiftedStore
+
+
+def _make(configs, table, index):
+    """A lifted store from a table and an index already in canonical form."""
+    lifted = object.__new__(LiftedStore)
+    _put(lifted, "configs", configs)
+    _put(lifted, "table", table)
+    _put(lifted, "index", index)
+    return lifted
+
+
+def _uniform(configs, store):
+    n = len(configs)
+    return _make(configs, (store,) if n else (), (0,) * n)
+
+
+def _encode(configs, results, index):
+    """The lifted store whose component k is results[index[k]].
+
+    `index` is dense in first-occurrence order over `results`; equal results
+    merge into one entry, the first, and only then is the index rewritten.
+    """
+    codes = {}
+    merged = [codes.setdefault(r, len(codes)) for r in results]
+    if len(codes) < len(merged):
+        index = tuple(map(merged.__getitem__, index))
+    return _make(configs, tuple(codes), index)
+
+
+def tabulate(fn, configs, keys):
+    """The lifted store over `configs` whose component k is fn(keys[k]).
+
+    The keys are hashable, one per component.  fn runs once per distinct
+    key, in order of first occurrence, so the result is canonical, and equal
+    results share one entry.
+    """
+    positions = dict.fromkeys(keys)
+    codes = {}
+    for key in positions:
+        positions[key] = codes.setdefault(fn(key), len(codes))
+    return _make(configs, tuple(codes), tuple(map(positions.__getitem__, keys)))
+
+
+def combine(fn, configs, tables, columns):
+    """The lifted store over `configs` whose component k is
+    fn(tables[0][columns[0][k]], tables[1][columns[1][k]], ...).
+
+    Each column indexes its table per component, and fn runs once per
+    distinct tuple of positions.
+    """
+    return tabulate(lambda key: fn(*map(getitem, tables, key)), configs, list(zip(*columns)))
 
 
 def value_join(lattice, a, b):

@@ -110,8 +110,9 @@ class Cursor:
         """(line, column) of a token, by default the current one."""
         return position(self.text, (tok or self.current)[2])
 
-    def error(self, message):
-        raise ParseError(message, *self.where())
+    def error(self, message, tok=None):
+        """Raise a ParseError at a token, by default the current one."""
+        raise ParseError(message, *self.where(tok))
 
     def finish(self):
         """Raise unless the whole text has been read."""

@@ -25,21 +25,25 @@ mixed case.  An empty cover (a join that confounded nothing) counts as
 untouched, matching what its never-satisfied rewritten guard does.  Covers
 are all the engine reads of a configuration set; it builds no formula.
 
-Stores are shared: every per-component operation (assignment, join, the
-`#if` merge) runs once per distinct input store object and returns one
-object per distinct result (`lattice.shared`).  Entry stores repeat one
-object, so store operations follow the number of distinct stores, and only
-the keying and the `#if` case split stay per component: a chain of n `#if`s
-over 2^n configurations holds n+1 stores.
+Lifted stores are dictionary-encoded (`lattice.LiftedStore`): a table of
+distinct stores and one index per component.  An assignment runs once per
+table entry; a join and the `#if` merge run once per distinct tuple of
+positions, with the case list as one more column over the table `CASES`
+(`lattice.combine`).  So store operations follow the number of distinct
+stores, and only the keying (C-level passes over the int columns) and the
+`#if` case split stay per component: a chain of n `#if`s over 2^n
+configurations holds n+1 stores.
 """
 
 from __future__ import annotations
 
 from . import lang
 from .errors import SemanticError
-from .lattice import LiftedStore, intval, shared
+from .lattice import LiftedStore, combine, intval
 
 ANALYZED, UNTOUCHED, MIXED = 0, 1, 2
+# the table that a column of cases indexes
+CASES = (ANALYZED, UNTOUCHED, MIXED)
 
 
 def kleene_accumulate(step, start):
@@ -82,14 +86,20 @@ def _merge_case(case, old, new):
 
 def merge_ifdef(cases, before, after):
     """The store after a `#if`: per case, analyzed, untouched or both joined."""
-    return before.with_stores(shared(_merge_case, cases, before.stores, after.stores))
+    return combine(
+        _merge_case,
+        before.configs,
+        (CASES, before.table, after.table),
+        (cases, before.index, after.index),
+    )
 
 
 def analyze_expr_lifted(expr, store, configs=None):
     """Per-configuration expression values, as a tuple aligned with the configs."""
     if configs is not None and store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
-    return tuple(eval_expr(expr, s) for s in store.stores)
+    values = [eval_expr(expr, s) for s in store.table]
+    return tuple(map(values.__getitem__, store.index))
 
 
 def analyze_single(stmt, store):
@@ -127,7 +137,7 @@ def analyze(stmt, store):
         return kleene_accumulate(lambda s: analyze(stmt.body, s), store)
     if isinstance(stmt, lang.IfDef):
         cases = ifdef_cases(store.configs, stmt.cond)
-        if all(case == UNTOUCHED for case in cases):
+        if cases.count(UNTOUCHED) == len(cases):
             return store
         return merge_ifdef(cases, store, analyze(stmt.body, store))
     raise TypeError(f"not a statement: {stmt!r}")

@@ -49,10 +49,12 @@ class CaseGen:
         self.rng = random.Random(self.seed)
 
     def carrier(self):
-        values = [BOT, TOP] + [intval(n) for n in range(-2, 3)]
-        if self.lattice is CONST_PLUS:
-            values += [LEQ0, GEQ0]
-        return values
+        return _PLUS_CARRIER if self.lattice is CONST_PLUS else _CONST_CARRIER
+
+
+# the values a generated store draws from, built once
+_CONST_CARRIER = (BOT, TOP, *(intval(n) for n in range(-2, 3)))
+_PLUS_CARRIER = (*_CONST_CARRIER, LEQ0, GEQ0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang
-from liftcal.errors import SemanticError
+from liftcal.errors import ParseError, SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_lifted
 from liftcal.oracle import CaseGen, gen_lifted, gen_random_abstraction, gen_random_program
@@ -54,6 +54,13 @@ def test_parse_sugar_forms(space):
     assert ab.parse_abstraction("join(A)", space) == ab.JoinPhi(fx.Atom("A"))
     assert ab.parse_abstraction("fignore(A)", space) == ab.FIgnore("A")
     assert ab.parse_abstraction("fproj(A, B)", space) == ab.FProj(("A", "B"))
+
+
+@pytest.mark.parametrize("text,col", [("foo", 1), ("join || foo(A)", 9)])
+def test_unknown_abstraction_is_reported_at_its_word(space, text, col):
+    with pytest.raises(ParseError, match="unknown abstraction 'foo'") as info:
+        ab.parse_abstraction(text, space)
+    assert (info.value.line, info.value.col) == (1, col)
 
 
 def test_parse_compose_binds_tighter_than_product(space):

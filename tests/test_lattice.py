@@ -17,7 +17,6 @@ from liftcal.lattice import (
     intval,
     parse_value,
     render_value,
-    shared,
 )
 
 CONST_CARRIER = [BOT, TOP] + [intval(n) for n in range(-3, 4)]
@@ -91,8 +90,11 @@ def test_const_plus_order():
 
 
 def test_const_rejects_sign_values():
-    with pytest.raises(SemanticError):
-        CONST.join(LEQ0, intval(1))
+    for sign in (LEQ0, GEQ0):
+        for op in (CONST.leq, CONST.join, CONST.meet, lambda a, b: CONST.binop("+", a, b)):
+            for a, b in ((sign, intval(1)), (intval(1), sign), (sign, sign)):
+                with pytest.raises(SemanticError, match="is not a const value"):
+                    op(a, b)
 
 
 def test_hat_binop_golden():
@@ -216,21 +218,6 @@ def test_lifted_top_and_bot_share_one_store(configs):
     for lifted in (LiftedStore.top(configs, CONST), LiftedStore.bot(configs, CONST)):
         assert len(lifted) == 3
         assert all(s is lifted.stores[0] for s in lifted.stores)
-
-
-def test_shared_computes_once_per_distinct_input():
-    a, b = Store.of(CONST, {"x": intval(1)}), Store.of(CONST, {"x": intval(2)})
-    calls = []
-
-    def forget_x(store):
-        calls.append(store)
-        return store.set("x", TOP)
-
-    out = shared(forget_x, (a, b, a, b, a))
-    assert calls == [a, b]
-    # equal results from distinct inputs come back as one object
-    assert out == (Store.top(CONST),) * 5
-    assert all(s is out[0] for s in out)
 
 
 def test_pi_selects_by_configurations(s2, configs):

@@ -4,7 +4,7 @@
     python tools/differential.py --diff OLD NEW    # list the keys that differ
 
 Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
-case:
+case, 5,076 in all:
 
 - 2,400 generated cases (oracle.CaseGen seeds 1-3, 400 cases each, under
   `const` and `constplus`, max_features=4, max_abs_depth=4): the generator's
@@ -15,6 +15,14 @@ case:
   abstract_configs (space, named formulas, hint, meanings, renames) and
   reconfigure's pretty-printed program and renames.  A case that raises a
   liftcal error hashes the error instead.
+- the same 2,400 cases, one more key each: the results of the `==` and
+  `leq` relations between their lifted stores, through the public API
+  only.  They are analyze_lifted against brute_force_lifted; the data-flow
+  root out against the compositional result on both entries; the entry
+  store against gamma(alpha(entry)) and alpha(gamma(entry)) against the
+  abstract entry; the lifted result against gamma of the abstracted
+  analysis of alpha(entry); and join and meet of the entry with the lifted
+  result.  A relation that raises hashes the error instead.
 - `liftcal analyze` (text and json, with and without --dataflow, both
   lattices) and `liftcal reconfigure` on the running examples S1 and S2, the
   11-feature chain, the 6-feature chain under fignore and fproj, and two
@@ -145,8 +153,17 @@ def _stores(lifted):
     return repr(lifted.stores)
 
 
+def _relation(holds):
+    """repr of holds(), or the liftcal error it raises."""
+    try:
+        return repr(holds())
+    except LiftcalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _case_parts(gen):
-    """The outputs of one generated case, as strings, in a fixed order."""
+    """The outputs of one generated case, as strings, in a fixed order, and
+    the results of the == and leq relations its stores allow."""
     program = oracle.gen_random_program(gen)
     space = program.feature_model.space
     alpha = oracle.gen_random_abstraction(gen, space)
@@ -156,15 +173,39 @@ def _case_parts(gen):
     variables = lang.program_vars(program) or [oracle.VAR_NAMES[0]]
     a_bar = oracle.gen_lifted(gen, configs, variables)
     d_bar = oracle.gen_lifted(gen, meanings, variables)
+    lattice = gen.lattice
     parts.append(repr(meanings.covers))
-    parts.append(_stores(analyze_lifted(program.body, a_bar)))
-    parts.append(_stores(analyze_abstracted(program.body, d_bar)))
-    for entry in (a_bar, d_bar):
-        system = build_dataflow(program.body, configs=entry.configs, lattice=gen.lattice)
-        for label, (inp, out) in sorted(solve_dataflow(system, entry).items()):
+    a_out = analyze_lifted(program.body, a_bar)
+    d_out = analyze_abstracted(program.body, d_bar)
+    parts.append(_stores(a_out))
+    parts.append(_stores(d_out))
+    relations = [_relation(lambda: a_out == oracle.brute_force_lifted(program, a_bar))]
+    for entry, result in ((a_bar, a_out), (d_bar, d_out)):
+        system = build_dataflow(program.body, configs=entry.configs, lattice=lattice)
+        solution = solve_dataflow(system, entry)
+        for label, (inp, out) in sorted(solution.items()):
             parts.append(f"{label}: {_stores(inp)} {_stores(out)}")
-    parts.append(_stores(ab.alpha_apply(alpha, configs, a_bar, gen.lattice)))
-    parts.append(_stores(ab.gamma_apply(alpha, configs, d_bar, gen.lattice)))
+        root_out = solution[program.body.label][1]
+        relations.append(_relation(lambda: root_out == result))
+        relations.append(_relation(lambda: result.leq(root_out)))
+    alpha_a = ab.alpha_apply(alpha, configs, a_bar, lattice)
+    gamma_d = ab.gamma_apply(alpha, configs, d_bar, lattice)
+    parts.append(_stores(alpha_a))
+    parts.append(_stores(gamma_d))
+    gamma_alpha_a = ab.gamma_apply(alpha, configs, alpha_a, lattice)
+    alpha_gamma_d = ab.alpha_apply(alpha, configs, gamma_d, lattice)
+    relations += [
+        _relation(lambda: a_bar.leq(gamma_alpha_a)),
+        _relation(lambda: a_bar == gamma_alpha_a),
+        _relation(lambda: alpha_gamma_d.leq(d_bar)),
+        _relation(lambda: alpha_gamma_d == d_bar),
+        _relation(lambda: a_out.leq(ab.gamma_apply(
+            alpha, configs, analyze_abstracted(program.body, alpha_a), lattice))),
+        _relation(lambda: a_bar.leq(a_bar.join(a_out))),
+        _relation(lambda: a_bar.meet(a_out).leq(a_out)),
+        _relation(lambda: a_bar.join(a_out) == a_out.join(a_bar)),
+        _relation(lambda: a_bar.meet(a_out) == a_bar),
+    ]
     info = ab.abstract_configs(alpha, space, configs)
     parts.append(repr(info.space.features))
     parts.append(repr([featexp.render(f) for f in info.configs.formulas]))
@@ -178,7 +219,11 @@ def _case_parts(gen):
         parts.append(repr({name: featexp.render(f) for name, f in renames.items()}))
     except LiftcalError as exc:
         parts.append(f"reconfigure: {type(exc).__name__}: {exc}")
-    return parts
+    return parts, relations
+
+
+def _digest(rows):
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
 def case_hashes():
@@ -188,11 +233,11 @@ def case_hashes():
             gen = oracle.CaseGen(seed, max_features=4, max_abs_depth=4, lattice=lattice)
             for i in range(CASES):
                 try:
-                    parts = _case_parts(gen)
+                    parts, relations = _case_parts(gen)
                 except LiftcalError as exc:
-                    parts = [f"{type(exc).__name__}: {exc}"]
-                digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-                out[f"case {seed}/{name}/{i}"] = digest
+                    parts = relations = [f"{type(exc).__name__}: {exc}"]
+                out[f"case {seed}/{name}/{i}"] = _digest(parts)
+                out[f"relations {seed}/{name}/{i}"] = _digest(relations)
     return out
 
 
