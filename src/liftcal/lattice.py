@@ -6,6 +6,10 @@ and top.  The abstract binary operator is exact on integer pairs, strict in
 bot, and top otherwise; in particular it is not sign-aware on Const+, where
 precision comes from joins rather than from arithmetic.
 
+Values and stores are named tuples, so they are hashed, compared and built
+in C.  A store keeps its bindings that differ from its default, sorted by
+variable: in that canonical form structural equality is extensional.
+
 A lifted store holds one store per configuration as a table of distinct
 stores plus a small-int index per component.  Its operations run their
 store function once per distinct store, or per distinct tuple of stores
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import getitem
+from typing import NamedTuple
 
 from .errors import SemanticError
 from .featexp import ConfigSet
@@ -25,8 +30,7 @@ _BOT, _INT, _LEQ0, _GEQ0, _TOP = "bot", "int", "<=0", ">=0", "top"
 _SIGNS = (_LEQ0, _GEQ0)
 
 
-@dataclass(frozen=True)
-class Val:
+class Val(NamedTuple):
     kind: str
     n: int | None = None
 
@@ -78,14 +82,6 @@ class Lattice:
     def __repr__(self):
         return f"Lattice({self.name})"
 
-    @property
-    def top(self):
-        return TOP
-
-    @property
-    def bot(self):
-        return BOT
-
     def check(self, v):
         if v.kind in _SIGNS and not self.signed:
             raise SemanticError(f"{render_value(v)} is not a {self.name} value")
@@ -103,7 +99,7 @@ class Lattice:
 
     def join(self, a, b):
         self._check_pair(a, b)
-        if _leq(a, b):
+        if a == b or _leq(a, b):
             return b
         if _leq(b, a):
             return a
@@ -118,7 +114,7 @@ class Lattice:
 
     def meet(self, a, b):
         self._check_pair(a, b)
-        if _leq(a, b):
+        if a == b or _leq(a, b):
             return a
         if _leq(b, a):
             return b
@@ -151,17 +147,14 @@ class Lattice:
 
 def _leq(a, b):
     """The order on values, whichever lattice holds them."""
-    if a.kind == _BOT or b.kind == _TOP:
+    ak, bk = a.kind, b.kind
+    if ak == _BOT or bk == _TOP:
         return True
-    if b.kind == _BOT or a.kind == _TOP:
+    if bk == _BOT or ak == _TOP:
         return False
-    if a.kind == _INT and b.kind == _INT:
-        return a.n == b.n
-    if a.kind == _INT and b.kind == _LEQ0:
-        return a.n <= 0
-    if a.kind == _INT and b.kind == _GEQ0:
-        return a.n >= 0
-    return a.kind == b.kind
+    if ak != _INT:
+        return ak == bk
+    return a.n == b.n if bk == _INT else a.n <= 0 if bk == _LEQ0 else a.n >= 0
 
 
 CONST = Lattice("const", signed=False)
@@ -180,8 +173,7 @@ def lattice_by_name(name):
 # Stores
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(NamedTuple):
     """A total map from variables to lattice values with a default.
 
     Only bindings different from the default are stored, so structural
@@ -207,9 +199,6 @@ class Store:
     def bot(lattice):
         return Store(lattice, (), BOT)
 
-    def as_dict(self):
-        return dict(self.values)
-
     def get(self, var):
         for x, v in self.values:
             if x == var:
@@ -217,38 +206,31 @@ class Store:
         return self.default
 
     def set(self, var, value):
-        kept = tuple(item for item in self.values if item[0] != var)
-        if value == self.default:
-            items = kept
-        else:
-            items = tuple(sorted(kept + ((var, value),)))
-        return Store(self.lattice, items, self.default)
-
-    def domain_with(self, other):
-        names = {x for x, _ in self.values} | {x for x, _ in other.values}
-        return sorted(names)
+        items = [item for item in self.values if item[0] != var]
+        if value != self.default:
+            items = sorted(items + [(var, value)])
+        return Store(self.lattice, tuple(items), self.default)
 
     def leq(self, other):
-        lat = self.lattice
-        if not lat.leq(self.default, other.default):
-            return False
-        return all(
-            lat.leq(self.get(x), other.get(x)) for x in self.domain_with(other)
+        lat, da, db = self.lattice, self.default, other.default
+        a, b = dict(self.values), dict(other.values)
+        return lat.leq(da, db) and all(
+            lat.leq(a.get(x, da), b.get(x, db)) for x in sorted(a.keys() | b.keys())
         )
 
     def join(self, other):
-        lat = self.lattice
-        mapping = {
-            x: lat.join(self.get(x), other.get(x)) for x in self.domain_with(other)
-        }
-        return Store.of(lat, mapping, lat.join(self.default, other.default))
+        return self._merge(self.lattice.join, other)
 
     def meet(self, other):
-        lat = self.lattice
-        mapping = {
-            x: lat.meet(self.get(x), other.get(x)) for x in self.domain_with(other)
-        }
-        return Store.of(lat, mapping, lat.meet(self.default, other.default))
+        return self._merge(self.lattice.meet, other)
+
+    def _merge(self, op, other):
+        """op on each variable bound in either store, in order, then on the defaults."""
+        a, b = dict(self.values), dict(other.values)
+        da, db = self.default, other.default
+        merged = [(x, op(a.get(x, da), b.get(x, db))) for x in sorted(a.keys() | b.keys())]
+        default = op(da, db)
+        return Store(self.lattice, tuple([item for item in merged if item[1] != default]), default)
 
     def render(self, variables):
         inner = ", ".join(f"{x}={render_value(self.get(x))}" for x in variables)

@@ -123,24 +123,33 @@ def analyze_single(stmt, store):
 
 def analyze(stmt, store):
     """The engine: analyze stmt on every component of a lifted store at once."""
-    if isinstance(stmt, lang.Skip):
-        return store
-    if isinstance(stmt, lang.Assign):
-        return store.map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
-    if isinstance(stmt, lang.Seq):
-        return analyze(stmt.second, analyze(stmt.first, store))
-    if isinstance(stmt, lang.If):
-        return analyze(stmt.then, store).join(analyze(stmt.orelse, store))
-    if isinstance(stmt, lang.Lub):
-        return analyze(stmt.left, store).join(analyze(stmt.right, store))
-    if isinstance(stmt, lang.While):
-        return kleene_accumulate(lambda s: analyze(stmt.body, s), store)
-    if isinstance(stmt, lang.IfDef):
-        cases = ifdef_cases(store.configs, stmt.cond)
-        if cases.count(UNTOUCHED) == len(cases):
+    # id of an #if -> its case list; every store of one analysis has one
+    # configuration set, so a loop does not recompute it per Kleene iteration
+    columns = {}
+
+    def run(stmt, store):
+        if isinstance(stmt, lang.Skip):
             return store
-        return merge_ifdef(cases, store, analyze(stmt.body, store))
-    raise TypeError(f"not a statement: {stmt!r}")
+        if isinstance(stmt, lang.Assign):
+            return store.map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
+        if isinstance(stmt, lang.Seq):
+            return run(stmt.second, run(stmt.first, store))
+        if isinstance(stmt, lang.If):
+            return run(stmt.then, store).join(run(stmt.orelse, store))
+        if isinstance(stmt, lang.Lub):
+            return run(stmt.left, store).join(run(stmt.right, store))
+        if isinstance(stmt, lang.While):
+            return kleene_accumulate(lambda s: run(stmt.body, s), store)
+        if isinstance(stmt, lang.IfDef):
+            cases = columns.get(id(stmt))
+            if cases is None:
+                cases = columns[id(stmt)] = ifdef_cases(store.configs, stmt.cond)
+            if cases.count(UNTOUCHED) == len(cases):
+                return store
+            return merge_ifdef(cases, store, run(stmt.body, store))
+        raise TypeError(f"not a statement: {stmt!r}")
+
+    return run(stmt, store)
 
 
 def analyze_lifted(stmt, store, configs=None):

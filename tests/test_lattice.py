@@ -1,5 +1,7 @@
 """Lattice laws for Const and Const+, the abstract operator, and stores."""
 
+import random
+
 import pytest
 
 from liftcal import featexp as fx
@@ -179,6 +181,96 @@ def test_store_join_meet_leq():
     assert met.get("y") == intval(2)
     assert a.leq(a.join(b))
     assert Store.bot(CONST).leq(a)
+
+
+def test_store_ops_raise_on_a_sign_value_in_const():
+    store = Store.of(CONST, {"x": LEQ0})
+    for op in (store.join, store.meet, store.leq):
+        with pytest.raises(SemanticError, match="<=0 is not a const value"):
+            op(store)
+
+
+def test_store_repr_and_hash_are_those_of_its_fields():
+    store = Store.of(CONST_PLUS, {"y": GEQ0, "x": intval(-2)}, BOT)
+    assert repr(store) == (
+        "Store(lattice=Lattice(constplus), values=(('x', -2), ('y', >=0)), default=bot)"
+    )
+    assert hash(store) == hash((CONST_PLUS, (("x", intval(-2)), ("y", GEQ0)), BOT))
+    assert repr(intval(3)) == str(intval(3)) == "3" and repr(LEQ0) == "<=0"
+
+
+# The store operations as they were before the one-pass merge: walk the sorted
+# union of bound names and look each one up in both stores.
+
+
+def _ref_of(lattice, mapping, default):
+    return Store(lattice, tuple(sorted((x, v) for x, v in mapping.items() if v != default)), default)
+
+
+def _ref_domain_with(a, b):
+    return sorted({x for x, _ in a.values} | {x for x, _ in b.values})
+
+
+def _ref_leq(a, b):
+    lat = a.lattice
+    if not lat.leq(a.default, b.default):
+        return False
+    return all(lat.leq(a.get(x), b.get(x)) for x in _ref_domain_with(a, b))
+
+
+def _ref_join(a, b):
+    lat = a.lattice
+    mapping = {x: lat.join(a.get(x), b.get(x)) for x in _ref_domain_with(a, b)}
+    return _ref_of(lat, mapping, lat.join(a.default, b.default))
+
+
+def _ref_meet(a, b):
+    lat = a.lattice
+    mapping = {x: lat.meet(a.get(x), b.get(x)) for x in _ref_domain_with(a, b)}
+    return _ref_of(lat, mapping, lat.meet(a.default, b.default))
+
+
+def _ref_set(a, var, value):
+    kept = tuple(item for item in a.values if item[0] != var)
+    items = kept if value == a.default else tuple(sorted(kept + ((var, value),)))
+    return Store(a.lattice, items, a.default)
+
+
+def _random_store(rng, lattice, carrier, default):
+    names = rng.sample("wxyz", rng.randint(0, 4))
+    return Store.of(lattice, {x: rng.choice(carrier) for x in names}, default)
+
+
+def _outcome(op, *args):
+    """op's result with its hash and repr, or the message of the error it raises."""
+    try:
+        result = op(*args)
+    except SemanticError as exc:
+        return str(exc)
+    return result, hash(result), repr(result)
+
+
+# the const lattice over the Const+ carrier is ill-formed on purpose: sign values
+# must raise, and raise the same error, whatever shortcut the operations take
+@pytest.mark.parametrize(
+    "lattice,carrier",
+    [(CONST, CONST_CARRIER), (CONST_PLUS, PLUS_CARRIER), (CONST, PLUS_CARRIER)],
+)
+def test_store_ops_equal_the_reference(lattice, carrier):
+    rng = random.Random(16)
+    for default_a in carrier:
+        for default_b in carrier:
+            for _ in range(12):
+                a = _random_store(rng, lattice, carrier, default_a)
+                b = _random_store(rng, lattice, carrier, default_b)
+                var, value = rng.choice("vwxyz"), rng.choice(carrier)
+                for op, ref, args in [
+                    (Store.leq, _ref_leq, (a, b)),
+                    (Store.join, _ref_join, (a, b)),
+                    (Store.meet, _ref_meet, (a, b)),
+                    (Store.set, _ref_set, (a, var, value)),
+                ]:
+                    assert _outcome(op, *args) == _outcome(ref, *args)
 
 
 def test_lifted_component_wise(configs):

@@ -3,7 +3,7 @@
 import pytest
 
 from liftcal import featexp as fx
-from liftcal import lang
+from liftcal import lang, lifted
 from liftcal.errors import SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_expr_lifted, analyze_lifted, analyze_single
@@ -121,3 +121,29 @@ def test_chain_keeps_one_store_object_per_value():
     assert len({id(s) for s in result.stores}) == 12
     for config, store in zip(configs.valuations, result.stores):
         assert store.get("x") == intval(sum(config.values))
+
+
+def test_case_list_computed_once_per_ifdef(monkeypatch):
+    program = lang.parse_program(
+        """features A, B;
+model true;
+begin
+  x := 0; y := 0;
+  while (x < 5) { #if (A) { x := x + 1 }; #if (B) { y := y + x } }
+end
+"""
+    )
+    configs = fx.valid_configs(program.feature_model)
+    calls = []
+
+    def counting(configs, theta):
+        calls.append(theta)
+        return real(configs, theta)
+
+    real = lifted.ifdef_cases
+    monkeypatch.setattr(lifted, "ifdef_cases", counting)
+    result = analyze_lifted(program.body, LiftedStore.top(configs, CONST))
+    assert len(calls) == 2
+    # x is top where A holds, so the loop took more than one Kleene iteration,
+    # and each iteration visited both #ifs
+    assert [s.get("x") for s in result.stores] == [TOP, TOP, intval(0), intval(0)]

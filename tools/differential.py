@@ -4,7 +4,7 @@
     python tools/differential.py --diff OLD NEW    # list the keys that differ
 
 Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
-case, 5,076 in all:
+case, 5,084 in all:
 
 - 2,400 generated cases (oracle.CaseGen seeds 1-3, 400 cases each, under
   `const` and `constplus`, max_features=4, max_abs_depth=4): the generator's
@@ -41,6 +41,11 @@ case, 5,076 in all:
   nested families (`#if (Ak) { #if (A1 | Ak) { x := x + 1 } }` for k = 2..n)
   reconfigured under fignore(A1) and fproj(A1, A2): the rewritten feature
   space and every valuation, in order.
+- `Store.leq`, `join`, `meet` and `set` on a fixed seeded corpus of stores
+  (random.Random seed 16, 400 pairs per lattice, up to four variables, values
+  and defaults drawn from the lattice's carrier) over `const` and
+  `constplus`: the repr of each result, or the error it raises, one key per
+  lattice and operation.
 - the tokens of every program text and abstraction spec above, as
   (kind, text, line, column), and the ParseError (type, message, line, column) of
   parse_program, parse_abstraction or parse_featexp on a fixed corpus of
@@ -55,6 +60,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -67,7 +73,7 @@ from liftcal import abstraction as ab  # noqa: E402
 from liftcal import cli, featexp, lang, lexer, oracle  # noqa: E402
 from liftcal.abstracted import analyze_abstracted, build_dataflow, solve_dataflow  # noqa: E402
 from liftcal.errors import LiftcalError, ParseError  # noqa: E402
-from liftcal.lattice import CONST, CONST_PLUS  # noqa: E402
+from liftcal.lattice import BOT, CONST, CONST_PLUS, GEQ0, LEQ0, TOP, Store, intval  # noqa: E402
 from liftcal.lifted import analyze_lifted  # noqa: E402
 from liftcal.reconfig import reconfigure  # noqa: E402
 from perfbench.workloads import SPLIT, chain_text, loops_text  # noqa: E402
@@ -261,6 +267,37 @@ def enum_hashes():
     return out
 
 
+STORE_PAIRS = 400
+STORE_CARRIERS = {
+    "const": [BOT, TOP] + [intval(n) for n in range(-2, 3)],
+    "constplus": [BOT, TOP, LEQ0, GEQ0] + [intval(n) for n in range(-2, 3)],
+}
+
+
+def store_hashes():
+    out = {}
+    for name, lattice in LATTICES.items():
+        rng = random.Random(16)
+        carrier = STORE_CARRIERS[name]
+
+        def store():
+            names = rng.sample("wxyz", rng.randint(0, 4))
+            default = rng.choice(carrier)
+            return Store.of(lattice, {x: rng.choice(carrier) for x in names}, default)
+
+        rows = {"leq": [], "join": [], "meet": [], "set": []}
+        for _ in range(STORE_PAIRS):
+            a, b = store(), store()
+            var, value = rng.choice("vwxyz"), rng.choice(carrier)
+            rows["leq"].append(_relation(lambda: a.leq(b)))
+            rows["join"].append(_relation(lambda: a.join(b)))
+            rows["meet"].append(_relation(lambda: a.meet(b)))
+            rows["set"].append(_relation(lambda: a.set(var, value)))
+        for op, op_rows in rows.items():
+            out[f"stores {name} {op}"] = _digest(op_rows)
+    return out
+
+
 def _run_cli(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -383,7 +420,7 @@ def main(argv):
         return 2
     hashes = {
         **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
-        **parse_hashes(),
+        **parse_hashes(), **store_hashes(),
     }
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
