@@ -57,7 +57,7 @@ meaning_configs, which read only the set, pay nothing for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import compress
 
@@ -76,6 +76,7 @@ from .featexp import (
     conj_all,
     disj_all,
     fold_balanced,
+    mask_from_bits,
     named_meaning,
     valuations_masker,
 )
@@ -171,25 +172,18 @@ class NameAllocator:
 
 
 def _concrete(configs):
-    if configs.valuations is None:
+    """A universe's whole set (member i is bit i), which names itself."""
+    if configs.members != range(len(configs.universe.codes)):
         raise SemanticError("abstractions apply to concrete configuration sets")
     return configs
 
 
-def _named_start(configs):
-    """A concrete set with its named view: each configuration names itself."""
-    space = _concrete(configs).space
-    return replace(
-        configs,
-        named=tuple(frozenset(compress(space.features, c.values)) for c in configs.valuations),
-        named_space=space,
-        named_hint_of=configs.hint_of,
-    )
-
-
 def _select(configs, phi):
     """Indices of components whose every configuration satisfies phi."""
-    rest = configs.universe.full & ~configs.mask(phi)
+    t = configs.mask(phi)
+    if configs.is_concrete:
+        return list(compress(range(len(configs)), configs.bits_of(t)))
+    rest = configs.universe.full & ~t
     return [i for i, cover in enumerate(configs.covers) if not cover & rest]
 
 
@@ -199,14 +193,12 @@ def _groups_by_elimination(configs, features):
     Two meanings are equivalent after eliminating the features exactly when
     their configurations agree on the remaining features.
     """
-    universe = configs.universe
-    keep = [k for k, f in enumerate(universe.space.features) if f not in features]
+    names, codes = configs.universe.space.features, configs.universe.codes
+    keep = sum(1 << len(names) - 1 - k for k, f in enumerate(names) if f not in features)
+    keys = ([codes[m] & keep for m in configs.members] if configs.is_concrete
+            else [frozenset(codes[b] & keep for b in bits) for bits in configs.positions()])
     groups = {}
-    for i, cover in enumerate(configs.covers):
-        key = frozenset(
-            tuple(universe.valuations[b].values[k] for k in keep)
-            for b in bit_indices(cover)
-        )
+    for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
@@ -214,35 +206,35 @@ def _groups_by_elimination(configs, features):
 def _product_merge(sides):
     """The product of sibling (set, rewrite) pairs: the merged set and its rewrite.
 
-    Components are taken side by side in order; one whose enabled named
-    features equal an earlier component's is shared with it, otherwise it is
-    appended.  A side owns the merged components its own components landed on.
+    Components are taken side by side in order; one that is an earlier
+    component (the same configuration, or the same enabled named features) is
+    shared with it, otherwise it is appended.  A side owns the merged
+    components its own components landed on.
     """
+    concrete = all(side.is_concrete for side, _ in sides)
     features, index = {}, {}
-    named, covers, owns = [], [], []
+    members, covers, owns = [], [], []
     for side, _ in sides:
         features.update(dict.fromkeys(side.named_space.features))
         own = 0
-        for on, cover in zip(side.named, side.covers):
-            if on not in index:
-                index[on] = len(named)
-                named.append(on)
+        covers_of = side.members if concrete else side.covers  # a concrete set keeps no covers
+        for member, cover in zip(side.members, covers_of):
+            if member not in index:
+                index[member] = len(members)
+                members.append(member)
                 covers.append(cover)
-            own |= 1 << index[on]
+            own |= 1 << index[member]
         owns.append(own)
     universe = sides[0][0].universe
-    concrete = all(side.is_concrete for side, _ in sides)
     # the hints close over the sides' hints, not the sides, so that a set
     # keeps none of the sets it was merged from alive
     hints = [side.hint_of for side, _ in sides]
     named_hints = [(side.named_space.features, side.named_hint_of) for side, _ in sides]
     merged = ConfigSet(
         universe.space,
-        tuple(covers),
         universe,
-        # a concrete component covers one configuration
-        tuple(universe.valuations[c.bit_length() - 1] for c in covers) if concrete else None,
-        tuple(named),
+        tuple(members),
+        None if concrete else tuple(covers),
         # each side's renames extend those of the common input set, in order
         {name: m for side, _ in sides for name, m in side.renames.items()},
         (lambda: _merged_meaning_hint(hints)) if concrete else lambda: None,
@@ -319,10 +311,9 @@ def _apply(alpha, configs, alloc):
         hint_of, named_hint_of, phi = configs.hint_of, configs.named_hint_of, alpha.phi
         out = ConfigSet(
             configs.space,
-            tuple(configs.covers[i] for i in indices),
             configs.universe,
-            tuple(configs.valuations[i] for i in indices) if concrete else None,
-            tuple(configs.named[i] for i in indices),
+            tuple(map(configs.members.__getitem__, indices)),
+            None if concrete else tuple(map(configs.covers.__getitem__, indices)),
             configs.renames,
             (lambda: _conj_hint(hint_of(), phi)) if concrete else lambda: None,
             configs.named_space,
@@ -368,8 +359,9 @@ def _empty_set(configs):
     # so that guards already rewritten over it remain evaluable
     return ConfigSet(
         configs.space,
-        (),
         configs.universe,
+        (),
+        (),
         renames=configs.renames,
         hint_of=lambda: FALSE,
         named_space=configs.named_space,
@@ -388,21 +380,27 @@ def _conj_hint(hint, phi):
 def _apply_group(indices, phi, configs, alloc):
     """Confound the selected components into one fresh-named component."""
     name = alloc.fresh()
-    cover = 0
-    for i in indices:
-        cover |= configs.covers[i]
+    if configs.is_concrete:  # set the selected configurations' bits
+        bits = bytearray(len(configs.universe.codes))
+        for i in indices:
+            bits[configs.members[i]] = 1
+        cover = mask_from_bits(bits)
+    else:
+        cover = 0
+        for i in indices:
+            cover |= configs.abstract_covers[i]
     meaning = partial(_group_meaning, indices, phi, configs)
     out = ConfigSet(
         configs.space,
-        (cover,),
         configs.universe,
-        named=(frozenset((name,)),),
+        (frozenset((name,)),),
+        (cover,),
         renames={**configs.renames, name: meaning},
         hint_of=meaning,
         named_space=FeatureSpace((name,)),
         named_hint_of=lambda: Atom(name),
     )
-    return out, _lazy(lambda: _join_walker([configs.named[i] for i in indices], name))
+    return out, _lazy(lambda: _join_walker(list(map(configs.named_at, indices)), name))
 
 
 def _group_meaning(indices, phi, configs):
@@ -419,7 +417,7 @@ def _group_meaning(indices, phi, configs):
         if hint is not None:
             return hint
     renames, space = configs.renames, configs.space
-    return disj_all(named_meaning(configs.named[i], renames, space) for i in indices)
+    return disj_all(named_meaning(configs.named_at(i), renames, space) for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +532,7 @@ def apply(alpha, configs):
 
     Joins are named Z1, Z2, ..., skipping the set's own feature names.
     """
-    return _apply(alpha, _named_start(configs), NameAllocator(configs.space.features))
+    return _apply(alpha, _concrete(configs), NameAllocator(configs.space.features))
 
 
 def meaning_configs(alpha, space, configs):
@@ -552,13 +550,11 @@ def named_view(out):
     """The named view of `out`, a set that apply made: the abstract feature
     space and the set's members as total valuations over it."""
     named_space = out.named_space
-    valuations = tuple(
-        featexp.Config(named_space, tuple(f in on for f in named_space.features))
-        for on in out.named
-    )
+    bit = {f: 1 << len(named_space) - 1 - k for k, f in enumerate(named_space.features)}
+    codes = tuple(sum(map(bit.__getitem__, on)) for on in out.named)
     return AbstractedConfigs(
         space=named_space,
-        configs=featexp.concrete_configs(named_space, valuations, out.named_hint_of()),
+        configs=featexp.concrete_configs(featexp.Universe(named_space, codes), out.named_hint_of()),
         meaning_view=out,
     )
 
@@ -589,6 +585,8 @@ def alpha_over(out_configs, configs, store, lattice=None):
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
     table = store.table
+    _concrete(configs)
+    at = store.index  # universe bit -> table position
 
     def joined(codes):
         if len(codes) == 1:
@@ -598,12 +596,7 @@ def alpha_over(out_configs, configs, store, lattice=None):
             out = out.join(table[code])
         return out
 
-    # concrete configurations cover one universe bit each
-    at = {c.bit_length() - 1: code for c, code in zip(configs.covers, store.index)}
-    keys = [
-        tuple(dict.fromkeys(map(at.__getitem__, bit_indices(cover))))
-        for cover in out_configs.covers
-    ]
+    keys = [tuple(dict.fromkeys(map(at.__getitem__, bits))) for bits in out_configs.positions()]
     return tabulate(joined, out_configs, keys)
 
 
@@ -615,8 +608,8 @@ def gamma_apply(alpha, configs, store, lattice=None):
     none does.
     """
     lattice = _infer_lattice(store, lattice)
-    universe = store.configs.universe
-    if universe is not configs.universe and universe.valuations != configs.universe.valuations:
+    universe, other = store.configs.universe, configs.universe
+    if universe is not other and (universe.space, universe.codes) != (other.space, other.codes):
         raise SemanticError("abstract store is not indexed over the given configurations")
     table = store.table
     top = Store.top(lattice)
@@ -628,10 +621,11 @@ def gamma_apply(alpha, configs, store, lattice=None):
         return out
 
     covering = {}  # universe bit -> table positions of the components covering it
-    for cover, code in zip(store.configs.covers, store.index):
-        for b in bit_indices(cover):
+    for bits, code in zip(store.configs.positions(), store.index):
+        for b in bits:
             covering[b] = covering.get(b, ()) + (code,)
-    return tabulate(met, configs, [covering.get(c.bit_length() - 1, ()) for c in configs.covers])
+    # configuration i of a concrete set is universe bit members[i]
+    return tabulate(met, configs, [covering.get(b, ()) for b in configs.members])
 
 
 def fignore_expand(feature, configs):
@@ -644,7 +638,7 @@ def fignore_expand(feature, configs):
     if not groups:
         raise SemanticError("cannot expand fignore over an empty configuration set")
     # expansion formulas stay literal disjunctions so they are readable in specs
-    return product(JoinPhi(disj_all(configs.valuations[i].formula() for i in g)) for g in groups)
+    return product(JoinPhi(disj_all(map(configs.named_formula, g))) for g in groups)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Feature names, propositional feature expressions, valuations, and configuration sets.
 
-A configuration set is decided on by its *covers*: each member is an `int`
-mask over the valid configurations of a feature model (its universe), bit i
-standing for the i-th valid configuration.  A formula becomes a mask by bit
-algebra over per-feature masks, which valid_configs builds once, so the
-analyses and abstractions never query a solver.  One ConfigSet type carries
-both views an abstraction has of its output: by meaning over the original
-features and by name over the abstract ones.  A member's formula only names
-it and is built when read; valid_configs builds none.
+A configuration set is decided on by its *covers*: int masks over the valid
+configurations of a feature model (its universe), bit i standing for the
+i-th.  The universe is bit-sliced, one int code per configuration and one
+mask per feature, so formulas become masks by bit algebra and no analysis
+queries a solver.  A concrete set's covers, valuations and formulas are
+built only when read.  One ConfigSet type carries both views an abstraction
+has of its output: by meaning over the original features and by name over
+the abstract ones.
 
 valid_configs lists a model's valid configurations in canonical order by
 residual enumeration, a top-down BDD construction (Bryant 1986): the model
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from itertools import product as _cartesian
 
 from .errors import ParseError, SemanticError, UndeclaredFeature
@@ -216,9 +216,13 @@ def mask_of(phi, feature_mask, full):
     raise TypeError(f"not a feature expression: {phi!r}")
 
 
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_from_bits(bits):
-    """The mask with bit i set iff bits[i] is true, built in linear time."""
-    return int("".join(["1" if bit else "0" for bit in reversed(bits)]) or "0", 2)
+    """The mask with bit i set iff bits[i] is true (a bool or a 0/1 byte), in linear time."""
+    return int(bytes(bits)[::-1].translate(_BIT_DIGITS) or b"0", 2)
 
 
 def valuations_masker(valuations):
@@ -376,9 +380,6 @@ class Config:
         if len(self.values) != len(self.space):
             raise SemanticError("configuration must assign every feature")
 
-    def __getitem__(self, name):
-        return self.values[self.space.index(name)]
-
     def as_dict(self):
         return dict(zip(self.space.features, self.values))
 
@@ -390,20 +391,30 @@ class Config:
 class Universe:
     """The valid configurations of a feature model, bit i standing for the i-th.
 
+    Configuration i is codes[i], bit n-1-k set iff it enables feature k of n.
     Masks over a universe are the covers of every configuration set derived
-    from it.  The per-feature masks are built once, here.
+    from it.  The per-feature masks are built once; `valuations` when read.
     """
 
-    __slots__ = ("space", "valuations", "full", "_feature_masks")
+    __slots__ = ("space", "codes", "full", "_feature_masks")
 
-    def __init__(self, space, valuations):
+    def __init__(self, space, codes, feature_masks=None):
+        n = len(space)
+        if feature_masks is None:  # transpose the codes' digits, one column per feature
+            rows = [bin(c | 1 << n)[3:] for c in codes]
+            feature_masks = [int("".join(col)[::-1], 2) for col in zip(*rows)] or [0] * n
         self.space = space
-        self.valuations = valuations
-        self.full = (1 << len(valuations)) - 1
-        self._feature_masks = {
-            name: mask_from_bits([v.values[k] for v in valuations])
-            for k, name in enumerate(space.features)
-        }
+        self.codes = codes
+        self.full = (1 << len(codes)) - 1
+        self._feature_masks = dict(zip(space.features, feature_masks))
+
+    def values(self, i):
+        """Configuration i, one bool per feature."""
+        return tuple(map("1".__eq__, bin(self.codes[i] | 1 << len(self.space))[3:]))
+
+    @property
+    def valuations(self):
+        return tuple(Config(self.space, self.values(i)) for i in range(len(self.codes)))
 
     def feature_mask(self, name):
         try:
@@ -416,43 +427,73 @@ class Universe:
         return mask_of(phi, self.feature_mask, self.full)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigSet:
     """An ordered set of configurations, read by meaning and, once abstracted, by name.
 
     Each member has a cover, the mask of the universe's configurations it
-    stands for; covers are all that the analyses and abstractions decide on,
-    and with the space (and a concrete set's valuations) the set's identity.
-    Concrete sets carry their valuations and cover one configuration each.
-    The meaning view is over `space`, the original features: a member's
-    formula is built when read, from its valuation or else from its named
-    valuation and the renames.  The named view, which an abstraction adds,
-    is over `named_space`: `named` holds each member's enabled features of
-    it, all others false.  `hint_of` and `named_hint_of`, when they give a
-    formula, give a compact one equivalent to the disjunction of all
-    members in that view, so joins never build huge disjunctions
-    (valid_configs: the model).
+    stands for; covers are all that the analyses and abstractions decide on.
+    A member is an int, the universe position of the one configuration it is
+    (its cover is that bit), or a frozenset, the fresh named features of a
+    component an abstraction made.  A concrete set has only int members and
+    stores no covers: `covers`, `valuations` and `named` are built when read.
+    It is identified by space and codes, an abstract set by space and covers.
+    A member's formula over `space` is built when read, from its named
+    valuation and the renames.  The named view is over `named_space` (a
+    concrete set's own space): `named` holds each member's enabled features
+    of it, all others false.  `hint_of` and `named_hint_of`, when they give a
+    formula, give a compact one equivalent to the disjunction of all members
+    in that view, so joins never build huge disjunctions (the model).
     """
 
     space: FeatureSpace
-    covers: tuple[int, ...]
-    universe: Universe = field(compare=False)
-    valuations: tuple[Config, ...] | None = None
-    named: tuple[frozenset, ...] = field(default=(), compare=False)
-    renames: dict = field(default_factory=dict, compare=False)  # name -> () -> formula
-    hint_of: Callable[[], FeatExp | None] = field(default=lambda: None, compare=False)
-    named_space: FeatureSpace | None = field(default=None, compare=False)
-    named_hint_of: Callable[[], FeatExp | None] = field(default=lambda: None, compare=False)
+    universe: Universe
+    members: tuple | range
+    abstract_covers: tuple[int, ...] | None = None
+    renames: dict = field(default_factory=dict)  # name -> () -> formula
+    hint_of: Callable[[], FeatExp | None] = lambda: None
+    named_space: FeatureSpace | None = None
+    named_hint_of: Callable[[], FeatExp | None] = lambda: None
 
     def __len__(self):
-        return len(self.covers)
+        return len(self.members)
 
     def __iter__(self):
         return iter(self.formulas)
 
+    def __eq__(self, other):
+        return self is other or isinstance(other, ConfigSet) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):  # a concrete set's codes, or an abstract set's covers
+        codes = self.is_concrete and tuple(map(self.universe.codes.__getitem__, self.members))
+        return self.space, codes, self.abstract_covers
+
     @property
     def is_concrete(self):
-        return self.valuations is not None
+        return self.abstract_covers is None
+
+    @property
+    def covers(self):
+        return tuple(1 << m for m in self.members) if self.is_concrete else self.abstract_covers
+
+    @property
+    def valuations(self):
+        """A concrete set's configurations (None for an abstract set)."""
+        if self.is_concrete:
+            return tuple(Config(self.space, self.universe.values(m)) for m in self.members)
+
+    @property
+    def named(self):
+        return tuple(map(self.named_at, range(len(self.members))))
+
+    def named_at(self, i):
+        member = self.members[i]
+        if type(member) is int:  # a configuration is named by its enabled features
+            member = frozenset(compress(self.space.features, self.universe.values(member)))
+        return member
 
     @property
     def hint(self):
@@ -460,17 +501,26 @@ class ConfigSet:
 
     @property
     def formulas(self):
-        if self.valuations is not None:
-            return tuple(v.formula() for v in self.valuations)
         return tuple(named_meaning(on, self.renames, self.space) for on in self.named)
 
     def named_formula(self, i):
         """Member i by name, as a literal conjunction over the whole named space."""
-        return literal_conjunction(self.named[i], self.named_space)
+        return literal_conjunction(self.named_at(i), self.named_space)
 
     def mask(self, phi):
         """The configurations of the universe that satisfy phi."""
         return self.universe.mask(phi)
+
+    def bits_of(self, mask):
+        """Per member of a concrete set, 1 if its configuration is in mask, else 0."""
+        bits = bin(mask | 1 << len(self.universe.codes))[:2:-1].encode().translate(_DIGIT_BITS)
+        members = self.members  # on the universe's own set, member i is bit i
+        return bits if members == range(len(bits)) else bytes(map(bits.__getitem__, members))
+
+    def positions(self):
+        """Per member, the universe positions of the configurations it covers."""
+        covers = self.members if self.is_concrete else self.abstract_covers
+        return [(m,) if type(m) is int else bit_indices(c) for m, c in zip(self.members, covers)]
 
     def index_of(self, phi):
         """Position of the first member whose cover is the configurations satisfying phi."""
@@ -490,14 +540,16 @@ def named_meaning(on, renames, space):
     return renames[fresh[0]]() if fresh else literal_conjunction(on, space)
 
 
-def concrete_configs(space, valuations, hint=None):
-    """The configuration set of explicit valuations, each its own universe bit."""
+def concrete_configs(universe, hint=None):
+    """The configuration set of a universe, member i at bit i, its own named view."""
+    space = universe.space
     return ConfigSet(
         space,
-        tuple(1 << i for i in range(len(valuations))),
-        Universe(space, valuations),
-        valuations,
+        universe,
+        range(len(universe.codes)),
         hint_of=lambda: hint,
+        named_space=space,
+        named_hint_of=lambda: hint,
     )
 
 
@@ -608,41 +660,62 @@ def valid_configs(fm):
     Canonical order: features in declaration order, earlier features more
     significant, true before false.  This reproduces the convention that the
     first component of a lifted store over {A,B} with model A|B belongs to
-    A&B, then A&!B, then !A&B.
+    A&B, then A&!B, then !A&B: descending order of codes (Universe).
 
     Enumeration walks the assignment tree depth-first on an explicit stack,
     carrying the residual: the model with the features assigned so far
     substituted and simplified, a node of a hash-consed DAG whose cofactors
-    are built once each.  A false residual prunes its subtree, and a true one
-    emits its completions, charged to _ENUM_BUDGET (as is every step) before
-    they are built; overrunning the budget raises SemanticError.
+    are built once each.  A false residual prunes its subtree.  A true one
+    emits its block of completions as a range of codes, charged to
+    _ENUM_BUDGET (as is every step) before it is built; overrunning the
+    budget raises SemanticError.  A feature's mask is assembled from runs of
+    bytes: ones over each subtree in which it is true, and a periodic
+    pattern over each block in which it is free.
     """
     space = fm.space
     n = len(space)
     dag = _Residuals(n)
     root = dag.build(fm.psi, {name: i for i, name in enumerate(space.features)})
     least, memo = dag.least, dag.cofactors
-    configs = []
+    blocks = []  # one descending range of codes per true residual
+    runs = [[] for _ in range(n)]  # per feature, (start, bytes) of the configurations enabling it
+    size = 0
     budget = _ENUM_BUDGET - 1  # the root's step; a node pays for its children's
-    path = [True] * n  # path[:i] assigns the node popped at depth i
-    stack = [(0, root, True)] if root != _FALSE else []  # a false node is not pushed
+    # (depth, node, code of the prefix); node -1 ends the subtree in which
+    # feature `depth` is true, and holds the position it began at as its code
+    stack = [(0, root, 0)] if root != _FALSE else []
     while stack:
-        i, node, value = stack.pop()
-        if i:
-            path[i - 1] = value
+        i, node, code = stack.pop()
+        if node < 0:
+            runs[i].append((code, b"\1" * (size - code)))
+            continue
         budget -= (1 << (n - i)) if node == _TRUE else 2
         if budget < 0:
             raise SemanticError("configuration enumeration exceeded its budget")
+        if code & 1:  # feature i - 1 is true on every configuration of this subtree
+            stack.append((i - 1, -1, size))
         if node == _TRUE:
-            prefix, rests = tuple(path[:i]), _cartesian((True, False), repeat=n - i)
-            configs += [Config(space, prefix + rest) for rest in rests]
+            free = n - i
+            width = 1 << free
+            blocks.append(range(((code + 1) << free) - 1, (code << free) - 1, -1))
+            for d in range(free):  # feature i + d: true, then false, in runs of h
+                h = width >> d + 1
+                runs[i + d].append((size, (b"\1" * h + bytes(h)) * (1 << d)))
+            size += width
             continue
         hi, lo = (node, node) if least[node] > i else memo.get(node) or dag.cofactor(node)
         if lo != _FALSE:
-            stack.append((i + 1, lo, False))
+            stack.append((i + 1, lo, code << 1))
         if hi != _FALSE:
-            stack.append((i + 1, hi, True))
-    return concrete_configs(space, tuple(configs), hint=fm.psi)
+            stack.append((i + 1, hi, code << 1 | 1))
+    masks = []
+    for pieces in runs:
+        column = bytearray(size)
+        for start, run in pieces:
+            column[start : start + len(run)] = run
+        masks.append(mask_from_bits(column))
+    universe = Universe(space, tuple(chain.from_iterable(blocks)), masks)
+    return concrete_configs(universe, hint=fm.psi)
 
 
 # ---------------------------------------------------------------------------

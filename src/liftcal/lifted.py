@@ -20,19 +20,21 @@ cover with the mask t of the configurations satisfying theta:
     cover & ~t == 0      -> analyzed
     otherwise            -> old joined with analyzed (mixed)
 
-A valid configuration covers one bit, so the lifted analysis never meets the
-mixed case.  An empty cover (a join that confounded nothing) counts as
-untouched, matching what its never-satisfied rewritten guard does.  Covers
-are all the engine reads of a configuration set; it builds no formula.
+A configuration covers one bit, so a concrete set never meets the mixed
+case: its member i is analyzed exactly when its universe bit of t is set,
+and the case list is read off t's bits in C, with no cover per member.  An
+empty cover (a join that confounded nothing) counts as untouched, matching
+what its never-satisfied rewritten guard does.  Covers and masks are all the
+engine reads of a configuration set; it builds no formula.
 
 Lifted stores are dictionary-encoded (`lattice.LiftedStore`): a table of
 distinct stores and one index per component.  An assignment runs once per
 table entry; a join and the `#if` merge run once per distinct tuple of
 positions, with the case list as one more column over the table `CASES`
 (`lattice.combine`).  So store operations follow the number of distinct
-stores, and only the keying (C-level passes over the int columns) and the
-`#if` case split stay per component: a chain of n `#if`s over 2^n
-configurations holds n+1 stores.
+stores, and only the keying (C-level passes over the int columns) and an
+abstract set's `#if` case split stay per component: a chain of n `#if`s over
+2^n configurations holds n+1 stores.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from . import lang
 from .errors import SemanticError
 from .lattice import LiftedStore, combine, intval
 
-ANALYZED, UNTOUCHED, MIXED = 0, 1, 2
+UNTOUCHED, ANALYZED, MIXED = 0, 1, 2  # a configuration's case is its bit of the #if's mask
 # the table that a column of cases indexes
-CASES = (ANALYZED, UNTOUCHED, MIXED)
+CASES = (UNTOUCHED, ANALYZED, MIXED)
 
 
 def kleene_accumulate(step, start):
@@ -73,6 +75,8 @@ def eval_expr(expr, store):
 def ifdef_cases(configs, theta):
     """Per-component case of a `#if (theta)` over a configuration set."""
     t = configs.mask(theta)
+    if configs.is_concrete:
+        return configs.bits_of(t)
     rest = configs.universe.full & ~t
     return [
         UNTOUCHED if not cover & t else ANALYZED if not cover & rest else MIXED

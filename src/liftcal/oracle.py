@@ -231,12 +231,12 @@ def brute_force_lifted(program, store):
     This is the defining property of lifting and the independent oracle the
     lifted engine is checked against.
     """
-    configs = store.configs
-    if configs.valuations is None:
+    valuations = store.configs.valuations  # built on read
+    if valuations is None:
         raise SemanticError("the brute-force oracle needs concrete configurations")
     out = tuple(
         analyze_single(lang.preprocess(program, config), component)
-        for config, component in zip(configs.valuations, store.stores)
+        for config, component in zip(valuations, store.stores)
     )
     return store.with_stores(out)
 
@@ -526,8 +526,9 @@ def match_renamed_configs(abstracted_info, rewritten_configs):
     space, so each corresponds to exactly one named abstract configuration;
     this realizes the paper's match-by-renamed-equivalence deterministically.
     """
+    valuations = abstracted_info.configs.valuations  # built on read
     position = {}
-    for i, config in enumerate(abstracted_info.configs.valuations):
+    for i, config in enumerate(valuations):
         position.setdefault(frozenset(config.as_dict().items()), i)
     try:
         mapping = [
@@ -536,7 +537,7 @@ def match_renamed_configs(abstracted_info, rewritten_configs):
         ]
     except KeyError:
         raise SemanticError("rewritten configuration has no abstract counterpart") from None
-    if len(set(mapping)) != len(abstracted_info.configs.valuations):
+    if len(set(mapping)) != len(valuations):
         raise SemanticError("rewritten configurations do not cover the abstract set")
     return mapping
 

@@ -297,6 +297,35 @@ def test_alpha_pays_for_no_rewrite(monkeypatch, spec):
     assert built
 
 
+@pytest.mark.parametrize("spec", [None, "join", "fignore(A1)"])
+def test_concrete_sets_build_nothing_per_configuration(monkeypatch, spec):
+    # enumeration, the lifted analysis, alpha, the abstracted analysis and
+    # gamma read a concrete set's codes and masks: no Config, no named
+    # valuation and no single-bit cover per configuration
+    from liftcal.abstracted import analyze_abstracted
+
+    program = lang.parse_program(CHAIN_SOURCE)
+    space = program.feature_model.space
+    covers = fx.ConfigSet.covers
+
+    def no_concrete_covers(configs):
+        assert not configs.is_concrete, "covers of a concrete set were built"
+        return covers.fget(configs)
+
+    def no_values(universe, i):
+        raise AssertionError("a configuration's values were built")
+
+    monkeypatch.setattr(fx.ConfigSet, "covers", property(no_concrete_covers))
+    monkeypatch.setattr(fx.Universe, "values", no_values)
+    configs = fx.valid_configs(program.feature_model)
+    entry = LiftedStore.top(configs, CONST)
+    lifted = analyze_lifted(program.body, entry)
+    if spec is not None:
+        alpha = ab.parse_abstraction(spec, space)
+        abstract = ab.alpha_apply(alpha, configs, lifted, CONST)
+        ab.gamma_apply(alpha, configs, analyze_abstracted(program.body, abstract), CONST)
+
+
 # ---------------------------------------------------------------------------
 # fignore expansion (the derived-abstraction theorem)
 

@@ -308,3 +308,158 @@ def test_config_sets_are_identified_by_configurations():
     only_b = fx.valid_configs(fx.FeatureModel(AB, fx.Atom("B")))
     assert only_a.covers == only_b.covers
     assert only_a != only_b
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced sets against the Config-building enumeration they replaced
+
+
+def reference_valid_configs(fm):
+    """The enumeration valid_configs replaced: the same residual walk, but each
+    true residual's completions are built one Config at a time, and the
+    universe's feature masks and the set's covers come from those Configs.
+
+    Returns (valuations, feature name -> mask, covers).
+    """
+    space = fm.space
+    n = len(space)
+    dag = fx._Residuals(n)
+    root = dag.build(fm.psi, {name: i for i, name in enumerate(space.features)})
+    least, memo = dag.least, dag.cofactors
+    configs = []
+    budget = fx._ENUM_BUDGET - 1
+    path = [True] * n
+    stack = [(0, root, True)] if root != fx._FALSE else []
+    while stack:
+        i, node, value = stack.pop()
+        if i:
+            path[i - 1] = value
+        budget -= (1 << (n - i)) if node == fx._TRUE else 2
+        if budget < 0:
+            raise SemanticError("configuration enumeration exceeded its budget")
+        if node == fx._TRUE:
+            prefix, rests = tuple(path[:i]), cartesian((True, False), repeat=n - i)
+            configs += [fx.Config(space, prefix + rest) for rest in rests]
+            continue
+        hi, lo = (node, node) if least[node] > i else memo.get(node) or dag.cofactor(node)
+        if lo != fx._FALSE:
+            stack.append((i + 1, lo, False))
+        if hi != fx._FALSE:
+            stack.append((i + 1, hi, True))
+    masks = {
+        name: sum(1 << i for i, config in enumerate(configs) if config.values[k])
+        for k, name in enumerate(space.features)
+    }
+    return tuple(configs), masks, tuple(1 << i for i in range(len(configs)))
+
+
+def sliced_models(seed):
+    """Seeded models of 0-12 features: true, unsatisfiable, exactly-one,
+    implication chains and random formulas."""
+    rng = random.Random(seed)
+    for n in range(13):
+        space = fx.FeatureSpace(tuple(f"F{i}" for i in range(n)))
+        atoms = [fx.Atom(f) for f in space.features]
+        yield fx.FeatureModel(space, fx.TRUE)
+        yield fx.FeatureModel(space, fx.FALSE)
+        yield fx.FeatureModel(space, fx.disj_all(
+            fx.conj_all(a if j == i else fx.Not(a) for j, a in enumerate(atoms))
+            for i in range(n)
+        ))
+        yield fx.FeatureModel(space, fx.conj_all(
+            fx.Implies(a, b) for a, b in zip(atoms, atoms[1:])
+        ))
+        for _ in range(3):
+            if n:
+                yield fx.FeatureModel(space, random_formula(rng, space.features, rng.randint(1, 6)))
+
+
+def _outcome_of(thunk):
+    try:
+        return thunk()
+    except SemanticError as exc:
+        return "error", str(exc)
+
+
+def test_bit_sliced_sets_equal_the_config_path():
+    rng = random.Random(5)
+    seen = {"empty": 0, "partial": 0, "full": 0}
+    for fm in sliced_models(5):
+        names = fm.space.features
+        valuations, masks, covers = reference_valid_configs(fm)
+        configs = fx.valid_configs(fm)
+        assert configs.valuations == valuations, fx.render(fm.psi)
+        assert configs.universe.valuations == valuations
+        assert configs.covers == covers
+        assert {name: configs.universe.feature_mask(name) for name in names} == masks
+        assert configs.named == tuple(frozenset(on for on, v in zip(names, c.values) if v)
+                                      for c in valuations)
+        if len(valuations) <= 64:
+            assert configs.formulas == tuple(v.formula() for v in valuations)
+        full = (1 << len(valuations)) - 1
+        probes = [v.formula() for v in valuations[:3]]
+        probes += [random_formula(rng, names, 3) for _ in range(3) if names]
+        for phi in probes + [fx.TRUE, fx.FALSE]:
+            t = fx.mask_of(phi, masks.__getitem__, full)
+
+            def reference(t=t, phi=phi):
+                if t not in covers:
+                    raise SemanticError(f"no configuration equivalent to {fx.render(phi)}")
+                return covers.index(t)
+
+            assert _outcome_of(lambda: configs.index_of(phi)) == _outcome_of(reference)
+        seen["empty" if not valuations else "full" if len(valuations) == 1 << len(names)
+             else "partial"] += 1
+    assert min(seen.values()) > 0, seen
+    for n in (21, 22):
+        space = fx.FeatureSpace(tuple(f"F{i}" for i in range(n)))
+        fm = fx.FeatureModel(space, fx.TRUE)
+        expected = _outcome_of(lambda: reference_valid_configs(fm))
+        assert _outcome_of(lambda: fx.valid_configs(fm)) == expected
+        assert expected == ("error", "configuration enumeration exceeded its budget")
+
+
+def test_ifdef_cases_on_concrete_sets_equal_the_per_cover_split():
+    from liftcal.lifted import ANALYZED, MIXED, UNTOUCHED, ifdef_cases
+
+    def per_cover(configs, theta):
+        t = configs.mask(theta)
+        rest = configs.universe.full & ~t
+        return [
+            UNTOUCHED if not cover & t else ANALYZED if not cover & rest else MIXED
+            for cover in configs.covers
+        ]
+
+    rng = random.Random(9)
+    subsets = 0
+    for fm in sliced_models(9):
+        names = fm.space.features
+        configs = fx.valid_configs(fm)
+        sets = [configs]
+        if names and len(configs):
+            # a projection keeps a concrete subset, members no longer at bit i
+            alpha = ab.Proj(random_formula(rng, names, 2))
+            sets.append(ab.meaning_configs(alpha, fm.space, configs))
+            subsets += 0 < len(sets[-1]) < len(configs)
+        for members in sets:
+            assert members.is_concrete
+            for _ in range(4):
+                theta = random_formula(rng, names, 3) if names else fx.TRUE
+                cases = ifdef_cases(members, theta)
+                assert list(cases) == per_cover(members, theta)
+                assert MIXED not in list(cases)
+    assert subsets > 10
+
+
+def test_valid_configs_memory_follows_codes_not_configs():
+    import tracemalloc
+
+    space = fx.FeatureSpace(tuple(f"F{i}" for i in range(16)))
+    tracemalloc.start()
+    try:
+        configs = fx.valid_configs(fx.FeatureModel(space, fx.TRUE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(configs) == 1 << 16
+    assert peak < 16 * 2**20, peak
