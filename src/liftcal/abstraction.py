@@ -36,8 +36,8 @@ abstract_configs and reconfigure apply, then read.
 The rewrite maps a statement over the input set to one over the output's
 named space.  It changes only `#if`s, per constructor:
 
-    join (fresh name Z over the selected components; t = those whose named
-    valuation satisfies the #if's condition):
+    join (fresh name Z over the selected components; t = those of them
+    that satisfy the #if's condition, by the universe's feature masks):
         t empty                       ->  #if (!Z) s'
         t all of the selection        ->  #if (Z)  s'
         otherwise                     ->  #if (Z)  lub(s', skip)
@@ -78,7 +78,6 @@ from .featexp import (
     fold_balanced,
     mask_from_bits,
     named_meaning,
-    valuations_masker,
 )
 from .lattice import CONST, Store, tabulate
 from .lexer import Cursor
@@ -150,15 +149,22 @@ class GroupJoin(Abstraction):
 
 
 class NameAllocator:
-    """Deterministic supply of fresh feature names for one application.
+    """Fresh feature names, and its sets' named maskers, for one application.
 
-    Each call yields the first of Z1, Z2, ... that is not in `used` and comes
+    Each `fresh()` yields the first of Z1, Z2, ... that is not in `used` and comes
     after the name the previous call yielded.
     """
 
     def __init__(self, used):
         self.used = frozenset(used)
         self.next = 1
+        self.maskers = {}  # id of a set -> (the set, its named masker)
+
+    def masker(self, configs):
+        """The named masker of configs, built once: fignore's joins share one."""
+        if id(configs) not in self.maskers:
+            self.maskers[id(configs)] = configs, configs.named_masker()
+        return self.maskers[id(configs)][1]
 
     def fresh(self):
         while f"Z{self.next}" in self.used:
@@ -203,7 +209,7 @@ def _groups_by_elimination(configs, features):
     return list(groups.values())
 
 
-def _product_merge(sides):
+def _product_merge(sides, alloc):
     """The product of sibling (set, rewrite) pairs: the merged set and its rewrite.
 
     Components are taken side by side in order; one that is an earlier
@@ -242,7 +248,7 @@ def _product_merge(sides):
         _once(lambda: _merged_named_hint(named_hints)),
     )
     rewrites = [rewrite for _, rewrite in sides]
-    return merged, _lazy(lambda: _product_walker(merged, owns, rewrites))
+    return merged, _lazy(lambda: _product_walker(merged, alloc.masker(merged), owns, rewrites))
 
 
 def _once(build):
@@ -325,7 +331,7 @@ def _apply(alpha, configs, alloc):
         out, outer = _apply(alpha.outer, mid, alloc)
         return out, lambda stmt: outer(inner(stmt))
     if isinstance(alpha, Product):
-        return _product_merge([_apply(part, configs, alloc) for part in alpha.parts])
+        return _product_merge([_apply(part, configs, alloc) for part in alpha.parts], alloc)
     if isinstance(alpha, FIgnore):
         expansion = _fignore_fold(configs, alpha.feature)
         if expansion is None:
@@ -400,7 +406,7 @@ def _apply_group(indices, phi, configs, alloc):
         named_space=FeatureSpace((name,)),
         named_hint_of=lambda: Atom(name),
     )
-    return out, _lazy(lambda: _join_walker(list(map(configs.named_at, indices)), name))
+    return out, _lazy(lambda: _join_walker(alloc.masker(configs), indices, len(configs), name))
 
 
 def _group_meaning(indices, phi, configs):
@@ -424,22 +430,23 @@ def _group_meaning(indices, phi, configs):
 # Rewrites
 
 
-def _join_walker(group, name):
-    """The join rule over the selection's named valuations `group`."""
+def _join_walker(mask, indices, size, name):
+    """The join rule over members `indices` of a set of `size`, by its named masker."""
     z = Atom(name)
-    everything = (1 << len(group)) - 1
-    mask = valuations_masker(group)
+    selection = (1 << size) - 1
+    if indices != range(size):
+        selection = mask_from_bits(map(set(indices).__contains__, range(size)))
 
     def walk(stmt):
         if not isinstance(stmt, lang.IfDef):
             return lang.with_children(stmt, tuple(map(walk, lang.children(stmt))))
         body = walk(stmt.body)
-        t = mask(stmt.cond)
+        t = mask(stmt.cond) & selection
         # untouched first: on an empty join the statement must stay dead,
         # matching the untouched case of the analysis
         if not t:
             return lang.IfDef(Not(z), body)
-        if t == everything:
+        if t == selection:
             return lang.IfDef(z, body)
         return lang.IfDef(z, lang.Lub(body, lang.Skip()))
 
@@ -456,9 +463,8 @@ def _repair_stmt(stmt, repair):
     return stmt
 
 
-def _product_walker(merged, owns, rewrites):
+def _product_walker(merged, mask, owns, rewrites):
     """The product rule: side k's rewrite, guarded on the merged components owns[k]."""
-    mask = valuations_masker(merged.named)
     own_formulas = [
         cache(lambda own=own: disj_all(map(merged.named_formula, bit_indices(own))))
         for own in owns

@@ -225,22 +225,6 @@ def mask_from_bits(bits):
     return int(bytes(bits)[::-1].translate(_BIT_DIGITS) or b"0", 2)
 
 
-def valuations_masker(valuations):
-    """phi -> mask of valuations[i] (each the set of its enabled features) satisfying phi.
-
-    The per-feature masks are built once, for every phi.
-    """
-    masks = {}
-
-    def feature_mask(name):
-        if name not in masks:
-            masks[name] = mask_from_bits([name in on for on in valuations])
-        return masks[name]
-
-    full = (1 << len(valuations)) - 1
-    return lambda phi: mask_of(phi, feature_mask, full)
-
-
 def bit_indices(mask):
     """Positions of the set bits of a mask, ascending, in time linear in its size."""
     if mask.bit_count() > 64:
@@ -516,6 +500,34 @@ class ConfigSet:
         bits = bin(mask | 1 << len(self.universe.codes))[:2:-1].encode().translate(_DIGIT_BITS)
         members = self.members  # on the universe's own set, member i is bit i
         return bits if members == range(len(bits)) else bytes(map(bits.__getitem__, members))
+
+    def named_masker(self):
+        """phi over the named space -> the mask of the members whose named
+        valuation satisfies phi (other features false), memoized per phi object.
+        A feature's mask reads the universe's: as it stands on a universe's whole
+        set, else bit m for an int member m; other members enable their names.
+        """
+        universe, members = self.universe, self.members
+        masks = dict(universe._feature_masks) if members == range(len(universe.codes)) else {}
+        memo, full = {}, (1 << len(members)) - 1
+
+        def feature_mask(name):
+            if name not in masks:
+                mask = universe._feature_masks.get(name, 0)
+                if self.is_concrete:
+                    masks[name] = mask_from_bits(self.bits_of(mask))
+                else:
+                    on = bin(mask | 1 << len(universe.codes))[:2:-1]  # on[m] is bit m
+                    masks[name] = mask_from_bits(
+                        [on[m] == "1" if type(m) is int else name in m for m in members])
+            return masks[name]
+
+        def mask(phi):  # by identity, keeping phi alive: deep guards hash slowly
+            if id(phi) not in memo:
+                memo[id(phi)] = phi, mask_of(phi, feature_mask, full)
+            return memo[id(phi)][1]
+
+        return mask
 
     def positions(self):
         """Per member, the universe positions of the configurations it covers."""

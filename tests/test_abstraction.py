@@ -10,7 +10,13 @@ from liftcal import lang
 from liftcal.errors import ParseError, SemanticError
 from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_lifted
-from liftcal.oracle import CaseGen, gen_lifted, gen_random_abstraction, gen_random_program
+from liftcal.oracle import (
+    CaseGen,
+    gen_featexp,
+    gen_lifted,
+    gen_random_abstraction,
+    gen_random_program,
+)
 from liftcal.reconfig import reconfigure
 
 from conftest import CHAIN_SOURCE
@@ -282,8 +288,8 @@ def test_gamma_rejects_a_store_over_another_universe(s1, space, configs):
 def test_alpha_pays_for_no_rewrite(monkeypatch, spec):
     # the rewrite that application also yields builds its state only when called
     built = []
-    masker = ab.valuations_masker
-    monkeypatch.setattr(ab, "valuations_masker", lambda vals: built.append(1) or masker(vals))
+    masker = fx.ConfigSet.named_masker
+    monkeypatch.setattr(fx.ConfigSet, "named_masker", lambda self: built.append(1) or masker(self))
     program = lang.parse_program(CHAIN_SOURCE)
     space = program.feature_model.space
     configs = fx.valid_configs(program.feature_model)
@@ -324,6 +330,63 @@ def test_concrete_sets_build_nothing_per_configuration(monkeypatch, spec):
         alpha = ab.parse_abstraction(spec, space)
         abstract = ab.alpha_apply(alpha, configs, lifted, CONST)
         ab.gamma_apply(alpha, configs, analyze_abstracted(program.body, abstract), CONST)
+
+
+@pytest.mark.parametrize("spec", ["join", "proj(A1)", "proj(A1) || join(!A1)"])
+def test_reconfigure_builds_no_valuation_per_configuration(monkeypatch, spec):
+    # the rewrites decide on the universe's feature masks; fignore is not
+    # checked here, because its renames are per-configuration formulas
+    def no_values(universe, i):
+        raise AssertionError("a configuration's values were built")
+
+    program = lang.parse_program(CHAIN_SOURCE)
+    alpha = ab.parse_abstraction(spec, program.feature_model.space)
+    monkeypatch.setattr(fx.Universe, "values", no_values)
+    reconfigure(program, alpha)
+
+
+def _valuations_masker(valuations):
+    """The reference: phi -> mask of valuations[i] (each the set of its
+    enabled features) satisfying phi, one named valuation per member."""
+    masks = {}
+
+    def feature_mask(name):
+        if name not in masks:
+            masks[name] = fx.mask_from_bits([name in on for on in valuations])
+        return masks[name]
+
+    full = (1 << len(valuations)) - 1
+    return lambda phi: fx.mask_of(phi, feature_mask, full)
+
+
+_MASKED_FAMILY = """features A1, A2, A3, A4, A5;
+model (A1 | A2) & (A3 => !A4);
+begin skip end
+"""
+
+
+@pytest.mark.parametrize("source", [_MASKED_FAMILY, CHAIN_SOURCE], ids=["model", "chain"])
+@pytest.mark.parametrize(
+    "spec",
+    [None, "proj(A1 | !A3)", "proj(A1) || join(!A1)", "fignore(A1)", "fproj(A1, A2)",
+     "join >> join", "(proj(A1) || join(!A1)) >> proj(A2)"],
+)
+def test_named_masker_equals_the_named_valuations(source, spec):
+    # the masker reads the universe's feature masks; the reference builds a
+    # named valuation per member. Conditions also name features outside the
+    # set's named space: the universe's own, where an abstraction dropped
+    # them, and features no set has
+    program = lang.parse_program(source)
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    out = configs if spec is None else ab.apply(ab.parse_abstraction(spec), configs)[0]
+    names = fx.FeatureSpace(tuple(dict.fromkeys((*out.named_space, *space, "Z1", "Q"))))
+    gen = CaseGen(seed=18)
+    mask, reference = out.named_masker(), _valuations_masker(out.named)
+    for _ in range(60):
+        phi = gen_featexp(gen, names, depth=3)
+        assert mask(phi) == reference(phi), fx.render(phi)
+        assert mask(phi) == reference(phi)  # memoized
 
 
 # ---------------------------------------------------------------------------
