@@ -43,10 +43,11 @@ named space.  It changes only `#if`s, per constructor:
         otherwise                     ->  #if (Z)  lub(s', skip)
     proj(phi):    unchanged; the set is filtered
     a1 || ... || an:  every side rewritten; a guard firing on none of its
-                  side's components is dead and dropped; one #if per class of
-                  equal bodies, guarded by the or of its live guards (one that
-                  fires where the class must not run is conjoined with its
-                  side's components); other side rewrites follow in order
+                  side's components is dead and dropped; one #if per body
+                  key (labels erased, #if guards read as their masks over
+                  the merged set), guarded by the or of its live guards (one
+                  that fires where the class must not run is conjoined with
+                  its side's components); other side rewrites follow in order
     a1 >> a2:     a2's rewrite applied to a1's output
 
 join(phi), fignore and fproj rewrite as the join, product and composition
@@ -463,6 +464,22 @@ def _repair_stmt(stmt, repair):
     return stmt
 
 
+def _body_key(body, mask):
+    """body in preorder, labels erased and each #if guard read as its mask."""
+    key = []
+    for node in lang.preorder(body):
+        kind = type(node)
+        if kind is lang.IfDef:
+            key.append((kind, mask(node.cond)))
+        elif kind is lang.Assign:
+            key.append((kind, node.var, node.expr))
+        elif kind is lang.If or kind is lang.While:
+            key.append((kind, node.cond))
+        else:
+            key.append(kind)
+    return tuple(key)
+
+
 def _product_walker(merged, mask, owns, rewrites):
     """The product rule: side k's rewrite, guarded on the merged components owns[k]."""
     own_formulas = [
@@ -482,21 +499,17 @@ def _product_walker(merged, mask, owns, rewrites):
     def walk(stmt):
         if not isinstance(stmt, lang.IfDef):
             return lang.with_children(stmt, tuple(map(walk, lang.children(stmt))))
-        classes = []  # (body, [(side, guard)]) of the live #ifs, by first appearance
+        classes = {}  # body key -> (body, [(side, guard)]) of the live #ifs, by first appearance
         rest = []
         for k, rewrite in enumerate(rewrites):
             out = rewrite(stmt)
             if not isinstance(out, lang.IfDef):
                 rest.append(_repair_stmt(out, lambda cond, k=k: repair(k, cond, owns[k])))
             elif mask(out.cond) & owns[k]:
-                for body, members in classes:
-                    if lang.stmt_equal(body, out.body):
-                        members.append((k, out.cond))
-                        break
-                else:
-                    classes.append((out.body, [(k, out.cond)]))
+                body, members = classes.setdefault(_body_key(out.body, mask), (out.body, []))
+                members.append((k, out.cond))
         ifdefs = []
-        for body, members in classes:
+        for body, members in classes.values():
             # the class runs its body where a side's guard fires on the side's
             # own components; only a guard firing anywhere else is repaired
             allowed = 0

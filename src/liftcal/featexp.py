@@ -12,12 +12,9 @@ the abstract ones.
 valid_configs lists a model's valid configurations in canonical order by
 residual enumeration, a top-down BDD construction (Bryant 1986): the model
 becomes a hash-consed DAG once, each step takes a memoized cofactor on the
-next feature, and _ENUM_BUDGET bounds the steps and configurations.
-
-Satisfiability and entailment of free-standing formulas are decided by
-brute-force enumeration of valuations over the features that actually occur
-in a query.  This is exact, dependency-free, and doubles as the oracle for
-the property tests; it is capped at MAX_ENUM_FEATURES features per query.
+next feature, and _ENUM_BUDGET bounds the steps and configurations.  sat,
+entails and equiv search a formula's residuals for a path to true; equiv
+first compares the two formulas' roots in one DAG.
 """
 
 from __future__ import annotations
@@ -25,12 +22,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from itertools import product as _cartesian
 
 from .errors import ParseError, SemanticError, UndeclaredFeature
 from .lexer import Cursor
-
-MAX_ENUM_FEATURES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -281,56 +275,13 @@ def render(phi, compact=False):
 # Satisfiability, entailment, equivalence
 
 
-def _forced_literals(phi, forced):
-    """Fix features forced by top-level conjunct literals; False on conflict.
-
-    Configuration formulas are mostly literal conjunctions, so this turns the
-    exponential enumeration into a single evaluation for them.
-    """
-    if isinstance(phi, And):
-        return _forced_literals(phi.left, forced) and _forced_literals(phi.right, forced)
-    if isinstance(phi, Atom):
-        if forced.get(phi.name) is False:
-            return False
-        forced[phi.name] = True
-        return True
-    if isinstance(phi, Not) and isinstance(phi.arg, Atom):
-        if forced.get(phi.arg.name) is True:
-            return False
-        forced[phi.arg.name] = False
-        return True
-    if isinstance(phi, FalseExp):
-        return False
-    return True
-
-
 def sat(phi, space=None):
-    """True iff some total valuation satisfies phi.
-
-    Only features occurring in phi are enumerated (others cannot change the
-    answer), and features forced by top-level literal conjuncts are fixed
-    up front.
-    """
-    names = features_of(phi)
+    """True iff some total valuation satisfies phi."""
     if space is not None:
-        for name in names:
+        for name in features_of(phi):
             if name not in space:
                 raise UndeclaredFeature(name)
-    forced = {}
-    if not _forced_literals(phi, forced):
-        return False
-    free = [name for name in names if name not in forced]
-    if len(free) > MAX_ENUM_FEATURES:
-        raise SemanticError(
-            f"satisfiability query over {len(free)} features exceeds the "
-            f"enumeration cap of {MAX_ENUM_FEATURES}"
-        )
-    for bits in _cartesian((True, False), repeat=len(free)):
-        assignment = dict(zip(free, bits))
-        assignment.update(forced)
-        if eval_featexp(phi, assignment):
-            return True
-    return False
+    return _search(*_residuals_of(phi))
 
 
 def valid(phi, space=None):
@@ -343,10 +294,11 @@ def entails(phi, theta):
 
 
 def equiv(phi1, phi2):
-    """Logical equivalence (mutual entailment)."""
-    if phi1 == phi2:
-        return True
-    return entails(phi1, phi2) and entails(phi2, phi1)
+    """Logical equivalence: one root in a residual DAG, or no model of the xor."""
+    dag, a, b = _residuals_of(phi1, phi2)
+    not_a, not_b = dag.make("not", a, a), dag.make("not", b, b)
+    xor = dag.make("or", dag.make("and", a, not_b), dag.make("and", not_a, b))
+    return a == b or not _search(dag, xor)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +616,31 @@ class _Residuals:
                 if b != a and least[b] == x:
                     work.append(b)
         return memo[root]
+
+
+def _residuals_of(*phis):
+    """A residual DAG over the features the formulas mention, and their nodes."""
+    names = features_of(fold_balanced(phis, And))
+    dag = _Residuals(len(names))
+    index = dict(zip(names, range(len(names))))
+    return dag, *(dag.build(phi, index) for phi in phis)
+
+
+def _search(dag, root):
+    """True iff some path of cofactors leads from root to true, searched depth
+    first, each residual expanded once.  Every expansion and DAG node is
+    charged to _ENUM_BUDGET; overrunning it raises SemanticError."""
+    memo, seen, stack = dag.cofactors, {_FALSE}, [root]
+    while stack:
+        node = stack.pop()
+        if node == _TRUE:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack += reversed(memo.get(node) or dag.cofactor(node))  # hi on top
+            if len(seen) + len(dag.nodes) > _ENUM_BUDGET:
+                raise SemanticError("satisfiability search exceeded its budget")
+    return False
 
 
 def valid_configs(fm):

@@ -234,27 +234,6 @@ def seq_all(stmts):
     return out
 
 
-def stmt_equal(a, b):
-    """Structural statement equality, labels erased, formulas up to equivalence."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Skip):
-        return True
-    if isinstance(a, Assign):
-        return a.var == b.var and a.expr == b.expr
-    if isinstance(a, Seq):
-        return stmt_equal(a.first, b.first) and stmt_equal(a.second, b.second)
-    if isinstance(a, If):
-        return a.cond == b.cond and stmt_equal(a.then, b.then) and stmt_equal(a.orelse, b.orelse)
-    if isinstance(a, While):
-        return a.cond == b.cond and stmt_equal(a.body, b.body)
-    if isinstance(a, IfDef):
-        return featexp.equiv(a.cond, b.cond) and stmt_equal(a.body, b.body)
-    if isinstance(a, Lub):
-        return stmt_equal(a.left, b.left) and stmt_equal(a.right, b.right)
-    raise TypeError(f"not a statement: {a!r}")
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 

@@ -14,7 +14,7 @@ from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang
 from liftcal.errors import LiftcalError, ParseError, SemanticError, UndeclaredFeature
-from liftcal.oracle import CaseGen, gen_random_abstraction, gen_random_program
+from liftcal.oracle import CaseGen, gen_featexp, gen_random_abstraction, gen_random_program
 from liftcal.reconfig import reconfigure
 
 from conftest import CHAIN_SOURCE
@@ -153,13 +153,83 @@ def test_mask_agrees_with_evaluation():
         configs.mask(fx.Atom("D"))
 
 
-def test_enumeration_cap():
+def test_sat_has_no_feature_cap(monkeypatch):
     space = fx.FeatureSpace(tuple(f"F{i}" for i in range(25)))
-    big = fx.disj_all(fx.Atom(f) for f in space.features)
-    with pytest.raises(SemanticError):
-        fx.sat(big)
-    # literal conjunctions do not hit the cap: the literals are propagated
-    assert fx.sat(fx.conj_all(fx.Atom(f) for f in space.features))
+    assert fx.sat(fx.disj_all(fx.Atom(f) for f in space.features))
+    # A0, A0 => A1, ..., A38 => A39, !A39: forty features, no model
+    names = [f"A{i}" for i in range(40)]
+    chain = fx.conj_all(
+        [fx.Atom(names[0])]
+        + [fx.Implies(fx.Atom(a), fx.Atom(b)) for a, b in zip(names, names[1:])]
+        + [fx.Not(fx.Atom(names[-1]))]
+    )
+    assert fx.sat(chain) is False
+    monkeypatch.setattr(fx, "_ENUM_BUDGET", 16)
+    with pytest.raises(SemanticError, match="^satisfiability search exceeded its budget$"):
+        fx.sat(chain)
+
+
+def test_sat_and_equiv_on_a_deep_formula():
+    # a parsed conjunction is a left-deep chain: 5,000 clauses nest 5,000 deep
+    names = [f"F{i}" for i in range(20)]
+    text = " & ".join(f"({names[i % 20]} | !{names[(7 * i + 3) % 20]})" for i in range(5000))
+    phi = fx.parse_featexp(text)
+    assert fx.sat(phi)
+    assert fx.equiv(phi, fx.parse_featexp(text))  # equal, but not the same object
+    assert not fx.equiv(phi, fx.Atom("F1"))
+    assert fx.entails(phi, fx.parse_featexp("F0 | !F3"))  # the first clause
+
+
+def reference_sat(phi):
+    """The enumerating sat that the residual search replaced: features forced
+    by top-level literal conjuncts are fixed, the rest enumerated."""
+
+    def forced_literals(node, forced):
+        if isinstance(node, fx.And):
+            return forced_literals(node.left, forced) and forced_literals(node.right, forced)
+        if isinstance(node, fx.Atom):
+            if forced.get(node.name) is False:
+                return False
+            forced[node.name] = True
+            return True
+        if isinstance(node, fx.Not) and isinstance(node.arg, fx.Atom):
+            if forced.get(node.arg.name) is True:
+                return False
+            forced[node.arg.name] = False
+            return True
+        return not isinstance(node, fx.FalseExp)
+
+    forced = {}
+    if not forced_literals(phi, forced):
+        return False
+    free = [name for name in fx.features_of(phi) if name not in forced]
+    for bits in cartesian((True, False), repeat=len(free)):
+        if fx.eval_featexp(phi, {**dict(zip(free, bits)), **forced}):
+            return True
+    return False
+
+
+def test_decisions_equal_the_enumerating_sat():
+    space = fx.FeatureSpace(tuple(f"F{i}" for i in range(10)))
+    narrow = fx.FeatureSpace(space.features[:3])
+    gen = CaseGen(19)
+    answers = []
+    while len(answers) < 300:
+        phi = gen_featexp(gen, space, depth=6)
+        if len(fx.features_of(phi)) < 2:
+            continue
+        theta = gen_featexp(gen, narrow if len(answers) % 2 else space, depth=4)
+        expected_sat = reference_sat(phi)
+        expected_entails = not reference_sat(fx.And(phi, fx.Not(theta)))
+        expected_equiv = expected_entails and not reference_sat(fx.And(theta, fx.Not(phi)))
+        assert fx.sat(phi) == expected_sat, fx.render(phi)
+        assert fx.valid(phi) == (not reference_sat(fx.Not(phi))), fx.render(phi)
+        assert fx.entails(phi, theta) == expected_entails, (fx.render(phi), fx.render(theta))
+        assert fx.equiv(phi, theta) == expected_equiv, (fx.render(phi), fx.render(theta))
+        assert fx.equiv(phi, fx.And(phi, fx.TRUE))  # one root
+        assert fx.equiv(phi, fx.Not(fx.Not(phi)))  # two roots, no model of their xor
+        answers.append((expected_sat, expected_entails, expected_equiv))
+    assert all(set(column) == {True, False} for column in zip(*answers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The source-to-source reconfigurator and its commutation with the analysis."""
 
+from functools import partial
+
 import pytest
 
 from liftcal import abstraction as ab
@@ -8,7 +10,6 @@ from liftcal import lang
 from liftcal.abstracted import analyze_abstracted
 from liftcal.abstraction import NameAllocator
 from liftcal.errors import SemanticError
-from liftcal.lang import stmt_equal
 from liftcal.lattice import CONST, LiftedStore, Store, TOP, intval
 from liftcal.lifted import analyze_lifted, analyze_single
 from liftcal.oracle import (
@@ -149,12 +150,40 @@ def test_commutation_on_golden_cases(s1, s2, s1_prime, space, configs):
                 assert via.stores[pos] == direct.stores[j], (text, pos)
 
 
-def test_stmt_equal_ignores_labels_and_uses_equiv(space):
-    a = lang.IfDef(fx.parse_featexp("A | B", space), lang.Skip(label=3), label=1)
-    b = lang.IfDef(fx.parse_featexp("B | A", space), lang.Skip(label=9), label=4)
-    assert stmt_equal(a, b)
-    c = lang.IfDef(fx.Atom("A"), lang.Skip(), label=0)
-    assert not stmt_equal(a, c)
+def test_body_key_erases_labels_and_reads_guards_by_mask(space, configs):
+    key = partial(ab._body_key, mask=configs.named_masker())
+    body = lang.Seq(lang.Assign("x", lang.Num(1), label=2), lang.Skip(label=3), label=1)
+    a = lang.IfDef(fx.parse_featexp("A | B", space), body, label=0)
+    b = lang.IfDef(fx.parse_featexp("B | A", space), lang.strip_labels(body), label=7)
+    assert key(a) == key(b)
+    # under the model A | B, `true` selects the configurations A | B selects
+    assert key(lang.IfDef(fx.TRUE, body)) == key(a)
+    assert key(lang.IfDef(fx.Atom("A"), body)) != key(a)
+    assert key(lang.IfDef(fx.Atom("A"), lang.Skip())) != key(lang.IfDef(fx.Atom("A"), body))
+
+
+def test_product_classes_bodies_whose_guards_have_equal_masks():
+    # fignore(A) under a model that forces A joins each configuration on its
+    # own: Z1 = A & B and Z2 = A & !B.  Side Z1 rewrites the inner #if (B) to
+    # #if (Z1), side Z2 to #if (!Z2); both select Z1 of the two components,
+    # so the two bodies are one class
+    program = lang.parse_program(
+        "features A, B; model A; begin x := 0; #if (A) { #if (B) { x := x + 1 } } end"
+    )
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    alpha = ab.parse_abstraction("fignore(A)", space)
+    rewritten, renames = reconfigure(program, alpha)
+    assert lang.pretty_stmt(rewritten.body) == "x := 0; #if (Z1 | Z2) { #if (Z1) { x := x + 1 } }"
+    assert {name: fx.render(phi) for name, phi in renames.items()} == {
+        "Z1": "A & B", "Z2": "A & !B"}
+    meanings = ab.meaning_configs(alpha, space, configs)
+    direct = analyze_abstracted(program.body, LiftedStore.top(meanings, CONST))
+    new_configs = fx.valid_configs(rewritten.feature_model)
+    mapping = match_renamed_configs(ab.abstract_configs(alpha, space, configs), new_configs)
+    via = analyze_lifted(rewritten.body, LiftedStore.top(new_configs, CONST))
+    assert [via.stores[pos] for pos in range(len(mapping))] == [direct.stores[j] for j in mapping]
+    assert [store.get("x") for store in direct.stores] == [intval(1), intval(0)]
 
 
 def test_render_renames(space, configs):
@@ -168,8 +197,8 @@ def test_render_renames(space, configs):
 
 
 def test_fproj_two_features_on_six_feature_chain():
-    # the #if decisions once made a satisfiability query over every fresh
-    # feature of the product, which exceeds the enumeration cap here
+    # the product has 32 fresh features: a guard decision that enumerated
+    # their valuations would not finish
     names = [f"A{i}" for i in range(1, 7)]
     text = (
         f"features {', '.join(names)}; model true; begin x := 0; "

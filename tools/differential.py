@@ -4,7 +4,7 @@
     python tools/differential.py --diff OLD NEW    # list the keys that differ
 
 Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
-case, 5,084 in all:
+case, 5,087 in all:
 
 - 2,400 generated cases (oracle.CaseGen seeds 1-3, 400 cases each, under
   `const` and `constplus`, max_features=4, max_abs_depth=4): the generator's
@@ -46,6 +46,11 @@ case, 5,084 in all:
   and defaults drawn from the lattice's carrier) over `const` and
   `constplus`: the repr of each result, or the error it raises, one key per
   lattice and operation.
+- `featexp.sat`, `entails` and `equiv` on a fixed seeded corpus of 400
+  formulas over up to 12 features (oracle.CaseGen seed 12, gen_featexp at
+  depth 6): each formula's satisfiability, its entailment both ways with the
+  next formula of the corpus, and its equivalence with that formula and with
+  an absorption of it; the answer or the error, one key per kind of query.
 - the tokens of every program text and abstraction spec above, as
   (kind, text, line, column), and the ParseError (type, message, line, column) of
   parse_program, parse_abstraction or parse_featexp on a fixed corpus of
@@ -298,6 +303,25 @@ def store_hashes():
     return out
 
 
+DECIDE_FORMULAS = 400
+
+
+def decide_hashes():
+    """sat, entails and equiv answers over a seeded corpus of formulas."""
+    space = featexp.FeatureSpace(tuple(f"F{i}" for i in range(12)))
+    gen = oracle.CaseGen(12)
+    formulas = [oracle.gen_featexp(gen, space, depth=6) for _ in range(DECIDE_FORMULAS)]
+    rows = {"sat": [], "entails": [], "equiv": []}
+    for phi, theta in zip(formulas, formulas[1:] + formulas[:1]):
+        absorbed = featexp.Or(phi, featexp.And(phi, theta))  # equivalent to phi
+        rows["sat"].append(_relation(lambda: featexp.sat(phi)))
+        rows["entails"].append(_relation(lambda: featexp.entails(phi, theta)))
+        rows["entails"].append(_relation(lambda: featexp.entails(theta, phi)))
+        rows["equiv"].append(_relation(lambda: featexp.equiv(phi, theta)))
+        rows["equiv"].append(_relation(lambda: featexp.equiv(phi, absorbed)))
+    return {f"decide {op}": _digest(op_rows) for op, op_rows in rows.items()}
+
+
 def _run_cli(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -420,7 +444,7 @@ def main(argv):
         return 2
     hashes = {
         **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
-        **parse_hashes(), **store_hashes(),
+        **parse_hashes(), **store_hashes(), **decide_hashes(),
     }
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
