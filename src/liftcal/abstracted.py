@@ -9,19 +9,24 @@ component (see `lifted`): untouched, analyzed, or old joined with analyzed.
 The same transfer functions can be phrased as data-flow equations over
 per-label in/out stores; solve_dataflow computes their least solution, which
 is an upper bound of the compositional result at every label and equal to it
-on loop-free programs.  It keeps one event per label entry and one per label
-exit on a heap in Euler-tour order, so a loop-free program is solved in one
-sweep and only loops iterate.
+on loop-free programs.  A structured program's equations nest like its
+statements, so it solves them innermost first, walking the statement tree
+once: each while iterates its own equation to a least fixpoint, re-solving
+its body for each iterate.  By Bekic's theorem (1984) these nested least
+fixpoints are exactly the least solution of the whole system, so a loop-free
+program takes one sweep and only loops iterate.  A statement entered with the
+input it was last solved for returns its recorded out, and a loop entered
+again starts from its last fixpoint, so a loop does not re-walk the loops
+nested in it from scratch on each of its passes.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from . import featexp, lang
 from .errors import SemanticError
-from .lattice import LiftedStore, Store, combine
+from .lattice import Store, combine
 from .lifted import (
     CASES, UNTOUCHED, analyze, analyze_expr_lifted, eval_expr, ifdef_cases, merge_ifdef
 )
@@ -61,7 +66,7 @@ class EquationSystem:
     lattice: object
 
 
-def build_dataflow(stmt, alpha=None, configs=None, lattice=None):
+def build_dataflow(stmt, configs=None, lattice=None):
     """Equation system for a labeled statement over an abstract config set."""
     statements = lang.labels_of(stmt)
     if len(statements) != max(statements) + 1 or min(statements) != 0:
@@ -72,108 +77,101 @@ def build_dataflow(stmt, alpha=None, configs=None, lattice=None):
 def solve_dataflow(system, entry):
     """Least solution of the equation system with in[root] = entry.
 
-    Returns a mapping label -> (in, out).  Each label has an in and an out
-    event, numbered in Euler-tour order and kept on a heap: the smallest
-    stale event is evaluated next, and a change re-queues its readers.  Only
-    each while's out(body) -> in(body) points backwards, so a loop-free
-    program takes one sweep.  The least solution is unique, so the order
-    does not change it; termination follows from the finite lattice height.
+    Returns a mapping label -> (in, out).  The statement tree is walked on
+    one explicit stack, recording each label's in and out as it goes: an
+    `#if` guards its input and merges its body's out by its case column,
+    `if` and `lub` join their branches, and a while iterates
+    x := in join out(body, x) to its least fixpoint, walking its body for
+    each x.  These nested least fixpoints are the least solution of the
+    whole system (Bekic 1984).  Two rules keep loop nests polynomial:
+    - skip: a statement entered with the input it was last solved for
+      returns its recorded out without a walk;
+    - warm start: a while entered again starts from in join its last
+      fixpoint.  That fixpoint lies below the new one, because a loop's
+      inputs only grow, so the iteration still ends at the least one.
     """
     lattice = entry.table[0].lattice if entry.table else system.lattice
     configs = entry.configs
-    bottom = LiftedStore.bot(configs, lattice)
-    ins = {label: bottom for label in system.statements}
-    outs = {label: bottom for label in system.statements}
-
-    parents = {}
-    for label, stmt in system.statements.items():
-        for kid in lang.children(stmt):
-            parents[kid.label] = stmt
-
-    ifdef_cases_by_label = {
-        label: ifdef_cases(configs, stmt.cond)
-        for label, stmt in system.statements.items()
-        if isinstance(stmt, lang.IfDef)
-    }
-
+    n = len(system.statements)
+    ins, outs = [None] * n, [None] * n
+    columns = {}  # label of an #if -> its case list
     bottom_store = Store.bot(lattice)
 
     def guard(case, store):
         return bottom_store if case == UNTOUCHED else store
 
-    def compute_in(stmt):
-        parent = parents.get(stmt.label)
-        if parent is None:
-            return entry
-        if isinstance(parent, lang.Seq):
-            if stmt is parent.first:
-                return ins[parent.label]
-            return outs[parent.first.label]
-        if isinstance(parent, (lang.If, lang.Lub)):
-            return ins[parent.label]
-        if isinstance(parent, lang.While):
-            return ins[parent.label].join(outs[stmt.label])
-        if isinstance(parent, lang.IfDef):
-            cases = ifdef_cases_by_label[parent.label]
-            src = ins[parent.label]
-            return combine(guard, configs, (CASES, src.table), (cases, src.index))
-        raise TypeError(f"unexpected parent: {parent!r}")
+    # One generator per open compound statement: it yields (child, in) and
+    # is sent the child's out; its return value is its own out.
 
-    def compute_out(stmt):
-        if isinstance(stmt, lang.Skip):
-            return ins[stmt.label]
-        if isinstance(stmt, lang.Assign):
-            return ins[stmt.label].map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
-        if isinstance(stmt, lang.Seq):
-            return outs[stmt.second.label]
-        if isinstance(stmt, (lang.If, lang.Lub)):
-            kids = lang.children(stmt)
-            return outs[kids[0].label].join(outs[kids[1].label])
-        if isinstance(stmt, lang.While):
-            return ins[stmt.body.label]
-        if isinstance(stmt, lang.IfDef):
-            return merge_ifdef(
-                ifdef_cases_by_label[stmt.label], ins[stmt.label], outs[stmt.body.label]
-            )
-        raise TypeError(f"not a statement: {stmt!r}")
+    def seq(stmt, store):
+        spine = [stmt.label]  # a right-nested chain walks as one loop
+        while True:
+            store = yield stmt.first, store
+            stmt = stmt.second
+            if type(stmt) is not lang.Seq:
+                break
+            last = ins[stmt.label]
+            if last is not None and last == store:
+                break  # solved for this input: the skip rule returns its out
+            ins[stmt.label] = store
+            spine.append(stmt.label)
+        store = yield stmt, store
+        for label in spine:
+            outs[label] = store
+        return store
 
-    # events (is_out, stmt) in Euler-tour order
-    events, stack = [], [(False, system.root)]
-    while stack:
-        is_out, stmt = stack.pop()
-        events.append((is_out, stmt))
-        if not is_out:
-            stack.append((True, stmt))
-            stack.extend((False, kid) for kid in reversed(lang.children(stmt)))
-    number = {(is_out, stmt.label): n for n, (is_out, stmt) in enumerate(events)}
+    def branch(stmt, store):
+        left, right = lang.children(stmt)
+        out = (yield left, store).join((yield right, store))
+        outs[stmt.label] = out
+        return out
 
-    readers = [[] for _ in events]
-    for label, stmt in system.statements.items():
-        edges = [((False, label), (True, label))]
-        for kid in lang.children(stmt):
-            edges.append(((False, label), (False, kid.label)))
-            edges.append(((True, kid.label), (True, label)))
-        if isinstance(stmt, lang.Seq):
-            edges.append(((True, stmt.first.label), (False, stmt.second.label)))
-        if isinstance(stmt, lang.While):
-            edges.append(((True, stmt.body.label), (False, stmt.body.label)))
-            edges.append(((False, stmt.body.label), (True, label)))
-        for src, dst in edges:
-            readers[number[src]].append(number[dst])
+    def loop(stmt, store):
+        last = outs[stmt.label]
+        x = store if last is None else store.join(last)
+        while True:
+            new = store.join((yield stmt.body, x))
+            if new == x:
+                outs[stmt.label] = x
+                return x
+            x = new
 
-    heap = list(range(len(events)))  # sorted, so already a heap
-    queued = set(heap)
-    while heap:
-        n = heapq.heappop(heap)
-        queued.discard(n)
-        is_out, stmt = events[n]
-        table = outs if is_out else ins
-        new = compute_out(stmt) if is_out else compute_in(stmt)
-        if new != table[stmt.label]:
-            table[stmt.label] = new
-            for reader in readers[n]:
-                if reader not in queued:
-                    queued.add(reader)
-                    heapq.heappush(heap, reader)
+    def ifdef(stmt, store):
+        cases = columns.get(stmt.label)
+        if cases is None:
+            cases = columns[stmt.label] = ifdef_cases(configs, stmt.cond)
+        guarded = combine(guard, configs, (CASES, store.table), (cases, store.index))
+        out = merge_ifdef(cases, store, (yield stmt.body, guarded))
+        outs[stmt.label] = out
+        return out
 
-    return {label: (ins[label], outs[label]) for label in system.statements}
+    rules = {lang.Seq: seq, lang.If: branch, lang.Lub: branch, lang.While: loop,
+             lang.IfDef: ifdef}
+    stack = []
+    stmt, store = system.root, entry
+    while True:
+        label = stmt.label
+        last = ins[label]
+        if last is not None and last == store:
+            out = outs[label]
+        else:
+            ins[label] = store
+            kind = type(stmt)
+            if kind is lang.Assign:
+                out = outs[label] = store.map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
+            elif kind is lang.Skip:
+                out = outs[label] = store
+            else:
+                walk = rules[kind](stmt, store)
+                stack.append(walk)
+                stmt, store = next(walk)
+                continue
+        while stack:
+            try:
+                stmt, store = stack[-1].send(out)
+                break
+            except StopIteration as done:
+                stack.pop()
+                out = done.value
+        else:
+            return {label: (ins[label], outs[label]) for label in system.statements}

@@ -537,16 +537,18 @@ class _Residuals:
     """A hash-consed formula DAG over features 0..n-1, with memoized cofactors.
 
     Node k is nodes[k]: ("var", i, i), ("not", a, a) or ("and" | "or", a, b)
-    over child ids, and 0 and 1 are false and true.  `make` folds constants
-    and looks nodes up in a unique table, so residuals that simplify alike
-    are one node.  least[k] is the least feature index node k mentions (n for
-    a constant): a residual over features i.. mentions i iff its least is i.
+    over child ids, and 0 and 1 are false and true.  `make` folds constants,
+    equal operands and a node met with its own negation, and looks nodes up
+    in a unique table, so residuals that simplify alike are one node.
+    least[k] is the least feature index node k mentions (n for a constant):
+    a residual over features i.. mentions i iff its least is i.
     """
 
     def __init__(self, n):
         self.nodes = [("false", 0, 0), ("true", 1, 1)] + [("var", i, i) for i in range(n)]
         self.least = [n, n, *range(n)]
         self.unique = {}
+        self.negations = {}  # node -> the node of its negation
         # node -> (node[x := true], node[x := false]), x the least feature it mentions
         self.cofactors = {2 + i: (_TRUE, _FALSE) for i in range(n)}
 
@@ -563,12 +565,16 @@ class _Residuals:
             if b == unit:
                 return a
             a, b = min(a, b), max(a, b)
+            if self.negations.get(a) == b:  # a negation is made after its operand
+                return _TRUE - unit
         key = (op, a, b)
         node = self.unique.get(key)
         if node is None:
             node = self.unique[key] = len(self.nodes)
             self.nodes.append(key)
             self.least.append(min(self.least[a], self.least[b]))
+            if op == "not":
+                self.negations[a] = node
         return node
 
     def build(self, phi, index):

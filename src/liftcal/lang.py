@@ -432,32 +432,22 @@ def resolve_ifdefs(stmt, assignment):
 
 def stmt_vars(stmt):
     """Variable identifiers occurring in a statement, in first-occurrence order."""
-    out = []
-    seen = set()
-
-    def add(name):
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
+    out = {}
 
     def go_expr(expr):
         if isinstance(expr, Var):
-            add(expr.name)
+            out.setdefault(expr.name)
         elif isinstance(expr, BinOp):
             go_expr(expr.left)
             go_expr(expr.right)
 
-    def go(node):
+    for node in preorder(stmt):
         if isinstance(node, Assign):
-            add(node.var)
+            out.setdefault(node.var)
             go_expr(node.expr)
         elif isinstance(node, (If, While)):
             go_expr(node.cond)
-        for kid in children(node):
-            go(kid)
-
-    go(stmt)
-    return out
+    return list(out)
 
 
 def program_vars(program):

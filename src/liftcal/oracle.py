@@ -588,7 +588,7 @@ def check_dataflow(gen, cases=200):
         alpha = gen_random_abstraction(gen, program.feature_model.space)
         meanings = ab.meaning_configs(alpha, configs.space, configs)
         entry = gen_lifted(gen, meanings, _program_variables(gen, program))
-        system = build_dataflow(program.body, alpha, meanings, gen.lattice)
+        system = build_dataflow(program.body, meanings, gen.lattice)
         solution = solve_dataflow(system, entry)
         ok = True
         for label, stmt in system.statements.items():

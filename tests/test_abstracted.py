@@ -1,5 +1,8 @@
 """The abstracted analysis engine and the data-flow equation solver."""
 
+import random
+import sys
+
 import pytest
 
 import liftcal.abstracted
@@ -97,7 +100,7 @@ def test_skip_copies(space, configs):
     program = lang.parse_program("features A, B; model A | B; begin skip end")
     meanings = ab.meaning_configs(ab.Join(), space, configs)
     entry = LiftedStore(meanings, (Store.of(CONST, {"x": intval(3)}),))
-    system = build_dataflow(program.body, ab.Join(), meanings, CONST)
+    system = build_dataflow(program.body, meanings, CONST)
     solution = solve_dataflow(system, entry)
     in_store, out_store = solution[0]
     assert in_store == entry and out_store == entry
@@ -109,7 +112,7 @@ def test_straight_line_equals_compositional(s1, space, configs):
         alpha = ab.parse_abstraction(text, space)
         meanings = ab.meaning_configs(alpha, space, configs)
         entry = LiftedStore.top(meanings, CONST)
-        system = build_dataflow(s1.body, alpha, meanings, CONST)
+        system = build_dataflow(s1.body, meanings, CONST)
         solution = solve_dataflow(system, entry)
         root_out = solution[s1.body.label][1]
         assert root_out == analyze_abstracted(s1.body, entry)
@@ -124,7 +127,7 @@ def test_while_solution_bounds_compositional(space):
     alpha = ab.Join()
     meanings = ab.meaning_configs(alpha, space, configs)
     entry = LiftedStore.top(meanings, CONST)
-    system = build_dataflow(program.body, alpha, meanings, CONST)
+    system = build_dataflow(program.body, meanings, CONST)
     solution = solve_dataflow(system, entry)
     compositional = analyze_abstracted(program.body, entry)
     root_out = solution[program.body.label][1]
@@ -147,7 +150,7 @@ def test_ifdef_middle_case_equations(space, configs):
     alpha = ab.Join()
     meanings = ab.meaning_configs(alpha, space, configs)
     entry = LiftedStore(meanings, (Store.of(CONST, {"x": intval(0)}),))
-    system = build_dataflow(program.body, alpha, meanings, CONST)
+    system = build_dataflow(program.body, meanings, CONST)
     solution = solve_dataflow(system, entry)
     # middle case: out = in join body-out = 0 join 1 = top
     assert values(solution[program.body.label][1]) == [TOP]
@@ -162,7 +165,7 @@ def test_unsat_guard_component_stays_bottom(space, configs):
     alpha = ab.Proj(fx.TRUE)
     meanings = ab.meaning_configs(alpha, space, configs)
     entry = LiftedStore.top(meanings, CONST)
-    system = build_dataflow(program.body, alpha, meanings, CONST)
+    system = build_dataflow(program.body, meanings, CONST)
     solution = solve_dataflow(system, entry)
     body_in = solution[program.body.body.label][0]
     assert all(s == Store.bot(CONST) for s in body_in.stores)
@@ -192,9 +195,9 @@ def test_chain_split_is_solved_in_one_sweep(monkeypatch):
         return merge_ifdef(*args)
 
     monkeypatch.setattr(liftcal.abstracted, "merge_ifdef", counted)
-    system = build_dataflow(program.body, alpha, entry.configs, CONST)
+    system = build_dataflow(program.body, entry.configs, CONST)
     root_out = solve_dataflow(system, entry)[program.body.label][1]
-    # loop-free: each #if's out event is evaluated exactly once
+    # loop-free: each #if is walked exactly once
     assert len(merges) == 11
     assert len({id(s) for s in root_out.stores}) <= 13
     assert root_out == analyze_abstracted(program.body, entry)
@@ -204,8 +207,8 @@ def reference_dataflow(stmt, entry, lattice):
     """Round-robin over every in and out equation until none changes.
 
     Each store is a plain list with one Store per component; nothing is
-    shared or scheduled, so it checks solve_dataflow's event heap and its
-    shared stores.
+    shared, skipped or warm-started, so it checks solve_dataflow's nested
+    fixpoints and its shared stores.
     """
     configs = entry.configs
     full = configs.universe.full
@@ -275,6 +278,31 @@ def has_while(stmt):
     return any(isinstance(node, lang.While) for node in lang.labels_of(stmt).values())
 
 
+def loop_nest(rng, depth, features):
+    """A seeded nest of while, #if and if statements, depth deep, over x, y, z."""
+    var = rng.choice("xyz")
+    expr = lang.BinOp(rng.choice("+-*"), lang.Var(var), lang.Num(rng.randint(-1, 2)))
+    step = lang.Assign(var, expr)
+    if depth == 0:
+        return step
+    body = loop_nest(rng, depth - 1, features)
+    cond = lang.BinOp("<", lang.Var(rng.choice("xyz")), lang.Num(rng.randint(0, 4)))
+    kind = rng.choice(("while", "while", "#if", "if"))
+    if kind == "while":
+        return lang.While(cond, lang.Seq(*((step, body) if rng.random() < 0.5 else (body, step))))
+    if kind == "#if":
+        theta = fx.Atom(rng.choice(features))
+        return lang.IfDef(fx.Not(theta) if rng.random() < 0.4 else theta, lang.Seq(body, step))
+    return lang.If(cond, body, step)
+
+
+def assert_solver_equals_reference(body, entry, lattice):
+    system = build_dataflow(body, entry.configs, lattice)
+    solution = solve_dataflow(system, entry)
+    expected = reference_dataflow(body, entry, lattice)
+    assert {label: (i.stores, o.stores) for label, (i, o) in solution.items()} == expected
+
+
 @pytest.mark.parametrize("lattice", [CONST, CONST_PLUS])
 def test_solver_equals_round_robin_reference(lattice):
     gen = oracle.CaseGen(7, max_features=4, lattice=lattice)
@@ -288,13 +316,82 @@ def test_solver_equals_round_robin_reference(lattice):
         meanings = ab.meaning_configs(alpha, program.feature_model.space, configs)
         variables = oracle.VAR_NAMES[: gen.max_vars]
         entry = oracle.gen_lifted(gen, meanings, variables)
-        system = build_dataflow(program.body, alpha, meanings, lattice)
-        solution = solve_dataflow(system, entry)
-        expected = reference_dataflow(program.body, entry, lattice)
-        assert {
-            label: (i.stores, o.stores) for label, (i, o) in solution.items()
-        } == expected, lang.pretty(program)
+        assert_solver_equals_reference(program.body, entry, lattice)
         checked += 1
+    # nests deep enough to re-enter loops with grown and with equal inputs,
+    # over the concrete set and over the split's abstract set
+    program = lang.parse_program("features A1, A2, A3; model A1 | A2; begin skip end")
+    space = program.feature_model.space
+    configs = fx.valid_configs(program.feature_model)
+    split = ab.parse_abstraction("proj(A1) || join(!A1)", space)
+    meanings = ab.meaning_configs(split, space, configs)
+    rng = random.Random(20)
+    for depth in range(2, 7):
+        for _ in range(6):
+            body = lang.relabel(loop_nest(rng, depth, space.features))
+            for entry_configs in (configs, meanings):
+                entry = oracle.gen_lifted(gen, entry_configs, ["x", "y", "z"])
+                assert_solver_equals_reference(body, entry, lattice)
+
+
+def increment(var):
+    return lang.Assign(var, lang.BinOp("+", lang.Var(var), lang.Num(1)))
+
+
+def while_nest(depth, kinds="w"):
+    """x := x + 1 nested depth levels deep, the levels cycling through kinds
+    from the inside: "w" is `while (x < 3) { y := y + 1; ... }` and "#" is
+    `#if (A) { ...; y := y + 1 }`."""
+    nest = increment("x")
+    for level in range(depth):
+        if kinds[level % len(kinds)] == "#":
+            nest = lang.IfDef(fx.Atom("A"), lang.Seq(nest, increment("y")))
+        else:
+            cond = lang.BinOp("<", lang.Var("x"), lang.Num(3))
+            nest = lang.While(cond, lang.Seq(increment("y"), nest))
+    return nest
+
+
+def test_solver_needs_no_recursion_per_statement():
+    space = fx.FeatureSpace(("A", "B"))
+    configs = fx.valid_configs(fx.FeatureModel(space, fx.TRUE))
+    entry = LiftedStore.top(configs, CONST)
+    chain = lang.relabel(lang.seq_all([lang.Assign("x", lang.Num(0))] + [increment("x")] * 20_000))
+    nest = lang.relabel(lang.Seq(lang.Assign("x", lang.Num(0)), while_nest(1_000, "w#")))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        chain_solution = solve_dataflow(build_dataflow(chain, configs, CONST), entry)
+        nest_solution = solve_dataflow(build_dataflow(nest, configs, CONST), entry)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(chain_solution) == 40_001
+    assert values(chain_solution[0][1]) == [intval(20_000)] * 4
+    assert len(nest_solution) == 3_003
+    assert values(nest_solution[0][1]) == [TOP, TOP, intval(0), intval(0)]  # the outer #if (A)
+    loop = nest.second.body.first  # the outermost while
+    assert nest_solution[loop.label][1] == nest_solution[loop.body.label][0]
+
+
+def test_loop_nest_takes_linear_body_passes(monkeypatch):
+    # a nest re-enters each inner loop once per pass of the loop around it;
+    # without the skip rule, each re-entry walks the whole nest below it again
+    space = fx.FeatureSpace(("A", "B"))
+    configs = fx.valid_configs(fx.FeatureModel(space, fx.TRUE))
+    passes = []
+    count = LiftedStore.map
+
+    def counted(self, fn):
+        passes.append(None)
+        return count(self, fn)
+
+    monkeypatch.setattr(LiftedStore, "map", counted)
+    for depth in (20, 40, 80):
+        start = [lang.Assign("x", lang.Num(0)), lang.Assign("y", lang.Num(0))]
+        body = lang.relabel(lang.seq_all(start + [while_nest(depth)]))
+        passes.clear()
+        solve_dataflow(build_dataflow(body, configs, CONST), LiftedStore.top(configs, CONST))
+        assert len(passes) <= 3 * depth
 
 
 @pytest.mark.parametrize("spec", ["join", "proj(A1) || join(!A1)", "fignore(A1)"])

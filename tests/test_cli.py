@@ -291,6 +291,18 @@ def test_deep_program_exits_2_without_traceback(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_deep_program_gets_a_dataflow_answer(capsys, tmp_path):
+    deep = tmp_path / "deep.imp"
+    body = "; ".join(["x := 0"] + ["x := x + 1"] * 2999)
+    deep.write_text(f"features A; model true; begin {body} end")
+    code, out, err = run(capsys, "analyze", str(deep), "--dataflow")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "label 0 (seq)"
+    assert lines[-2:] == ["  out A: x=2999", "  out !A: x=2999"]
+
+
 def test_deeply_nested_if_answers_or_exits_2(capsys, tmp_path):
     deep = tmp_path / "nested.imp"
     depth = 10_000

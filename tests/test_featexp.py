@@ -6,6 +6,7 @@ file, independent of the library's own decision procedure.
 
 import random
 import sys
+import time
 from itertools import product as cartesian
 
 import pytest
@@ -178,6 +179,22 @@ def test_sat_and_equiv_on_a_deep_formula():
     assert fx.equiv(phi, fx.parse_featexp(text))  # equal, but not the same object
     assert not fx.equiv(phi, fx.Atom("F1"))
     assert fx.entails(phi, fx.parse_featexp("F0 | !F3"))  # the first clause
+
+
+def test_a_formula_and_its_negation_fold_in_the_residual_dag():
+    names = [f"F{i}" for i in range(20)]
+    text = " & ".join(f"({names[i % 20]} | !{names[(7 * i + 3) % 20]})" for i in range(5000))
+    phi, psi = fx.parse_featexp(text), fx.parse_featexp(text)  # two parses, one root
+    dag, root = fx._residuals_of(phi & ~psi)
+    assert root == fx._FALSE
+    assert fx._residuals_of(phi | ~psi)[1] == fx._TRUE
+    # without the fold, the search for a model took over a second
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert fx.sat(phi & ~psi) is False
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.1
 
 
 def reference_sat(phi):

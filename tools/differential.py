@@ -4,7 +4,7 @@
     python tools/differential.py --diff OLD NEW    # list the keys that differ
 
 Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
-case, 5,087 in all:
+case, 5,147 in all:
 
 - 2,400 generated cases (oracle.CaseGen seeds 1-3, 400 cases each, under
   `const` and `constplus`, max_features=4, max_abs_depth=4): the generator's
@@ -41,6 +41,14 @@ case, 5,087 in all:
   nested families (`#if (Ak) { #if (A1 | Ak) { x := x + 1 } }` for k = 2..n)
   reconfigured under fignore(A1) and fproj(A1, A2): the rewritten feature
   space and every valuation, in order.
+- every label's data-flow in and out stores on the two loop families and
+  on 28 seeded nests of `while`, `#if` and `if` statements (4 at each
+  depth from 2 to 8, over x, y and z, built here with `lang`
+  constructors, model `A1 | A2` over four features), both lattices, from
+  seeded entry stores (oracle.CaseGen seed 20) over the valid
+  configurations and over the meaning view of `proj(A1) || join(!A1)`:
+  one key per program and lattice.  The nests re-enter inner loops with
+  grown and with unchanged inputs, which the generated cases rarely do.
 - `Store.leq`, `join`, `meet` and `set` on a fixed seeded corpus of stores
   (random.Random seed 16, 400 pairs per lattice, up to four variables, values
   and defaults drawn from the lattice's carrier) over `const` and
@@ -231,6 +239,58 @@ def _case_parts(gen):
     except LiftcalError as exc:
         parts.append(f"reconfigure: {type(exc).__name__}: {exc}")
     return parts, relations
+
+
+NEST_DEPTHS = range(2, 9)
+NESTS_PER_DEPTH = 4
+NEST_FAMILY = "features A1, A2, A3, A4;\nmodel A1 | A2;\nbegin\n  skip\nend\n"
+
+
+def _nest(rng, depth, features):
+    """A seeded nest of while, #if and if statements, depth deep, over x, y, z."""
+    var = rng.choice("xyz")
+    expr = lang.BinOp(rng.choice("+-*"), lang.Var(var), lang.Num(rng.randint(-1, 2)))
+    step = lang.Assign(var, expr)
+    if depth == 0:
+        return step
+    body = _nest(rng, depth - 1, features)
+    cond = lang.BinOp("<", lang.Var(rng.choice("xyz")), lang.Num(rng.randint(0, 4)))
+    kind = rng.choice(("while", "while", "#if", "if"))
+    if kind == "while":
+        return lang.While(cond, lang.Seq(*((step, body) if rng.random() < 0.5 else (body, step))))
+    if kind == "#if":
+        theta = featexp.Atom(rng.choice(features))
+        return lang.IfDef(featexp.Not(theta) if rng.random() < 0.4 else theta, lang.Seq(body, step))
+    return lang.If(cond, body, step)
+
+
+def nest_hashes():
+    """Every label's data-flow in and out on the loop families and on seeded
+    nests, from seeded entry stores over the valid configurations and over
+    the split's meaning view."""
+    programs = {name: lang.parse_program(FAMILIES[name][0]) for name in ("loops1", "loops2")}
+    family = lang.parse_program(NEST_FAMILY)
+    rng = random.Random(20)
+    for depth in NEST_DEPTHS:
+        for i in range(NESTS_PER_DEPTH):
+            body = lang.relabel(_nest(rng, depth, family.feature_model.space.features))
+            programs[f"depth{depth}/{i}"] = lang.Program(family.feature_model, body)
+    out = {}
+    for name, lattice in LATTICES.items():
+        gen = oracle.CaseGen(20, lattice=lattice)
+        for key, program in programs.items():
+            space = program.feature_model.space
+            configs = featexp.valid_configs(program.feature_model)
+            meanings = ab.meaning_configs(ab.parse_abstraction(SPLIT, space), space, configs)
+            rows = []
+            for entry_configs in (configs, meanings):
+                entry = oracle.gen_lifted(gen, entry_configs, lang.program_vars(program))
+                system = build_dataflow(program.body, configs=entry_configs, lattice=lattice)
+                solution = solve_dataflow(system, entry)
+                rows += [f"{label}: {_stores(i)} {_stores(o)}"
+                         for label, (i, o) in sorted(solution.items())]
+            out[f"loop nest {key} {name}"] = _digest(rows)
+    return out
 
 
 def _digest(rows):
@@ -444,7 +504,7 @@ def main(argv):
         return 2
     hashes = {
         **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
-        **parse_hashes(), **store_hashes(), **decide_hashes(),
+        **parse_hashes(), **store_hashes(), **decide_hashes(), **nest_hashes(),
     }
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
