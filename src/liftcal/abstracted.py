@@ -15,9 +15,8 @@ once: each while iterates its own equation to a least fixpoint, re-solving
 its body for each iterate.  By Bekic's theorem (1984) these nested least
 fixpoints are exactly the least solution of the whole system, so a loop-free
 program takes one sweep and only loops iterate.  A statement entered with the
-input it was last solved for returns its recorded out, and a loop entered
-again starts from its last fixpoint, so a loop does not re-walk the loops
-nested in it from scratch on each of its passes.
+input it was last solved for returns its recorded out, so a loop does not
+re-walk the loops nested in it on a pass that leaves their input unchanged.
 """
 
 from __future__ import annotations
@@ -28,13 +27,8 @@ from . import featexp, lang
 from .errors import SemanticError
 from .lattice import Store, combine
 from .lifted import (
-    CASES, UNTOUCHED, analyze, analyze_expr_lifted, eval_expr, ifdef_cases, merge_ifdef
+    CASES, UNTOUCHED, analyze, eval_expr, ifdef_cases, merge_ifdef
 )
-
-
-def analyze_expr_abstracted(expr, store):
-    """Per-component expression values over an abstracted store."""
-    return analyze_expr_lifted(expr, store)
 
 
 def analyze_abstracted(stmt, store):
@@ -83,12 +77,9 @@ def solve_dataflow(system, entry):
     `if` and `lub` join their branches, and a while iterates
     x := in join out(body, x) to its least fixpoint, walking its body for
     each x.  These nested least fixpoints are the least solution of the
-    whole system (Bekic 1984).  Two rules keep loop nests polynomial:
-    - skip: a statement entered with the input it was last solved for
-      returns its recorded out without a walk;
-    - warm start: a while entered again starts from in join its last
-      fixpoint.  That fixpoint lies below the new one, because a loop's
-      inputs only grow, so the iteration still ends at the least one.
+    whole system (Bekic 1984).  One rule keeps loop nests polynomial: a
+    statement entered with the input it was last solved for returns its
+    recorded out without a walk.
     """
     lattice = entry.table[0].lattice if entry.table else system.lattice
     configs = entry.configs
@@ -127,8 +118,7 @@ def solve_dataflow(system, entry):
         return out
 
     def loop(stmt, store):
-        last = outs[stmt.label]
-        x = store if last is None else store.join(last)
+        x = store
         while True:
             new = store.join((yield stmt.body, x))
             if new == x:

@@ -20,17 +20,20 @@ naming the confounded disjunction; a named configuration (`named`) is the
 set of its enabled features, all others false, so it reads the same over any
 wider space and the parallel-composition overlap test is a set lookup.  By
 meaning, each component has its cover, the set of original valid
-configurations it stands for, and its formula over the original space is
-built when read (featexp.named_meaning): a component means the rename of the
-one fresh feature it enables, else its own literals; a join of no component
-means false.  Lifted stores produced here are indexed by that set.
+configurations it stands for (a kept configuration is its universe
+position; only a join stores a mask), and its formula over the original
+space is built when read (featexp.named_meaning): a component means the
+rename of the one fresh feature it enables, else its own literals; a join
+of no component means false.  Lifted stores produced here are indexed by
+that set.
 
 Every abstraction is a join over such covers, so alpha and gamma read a set
 that apply already made: alpha (`alpha_over`) gives each component of a
 given set the join of the stores its cover holds, and gamma gives each
 configuration the meet of the components of its store's index that cover it
-(top where none does).  One application thus feeds alpha, the named view
-(`named_view`) and the rewrite (reconfig.rewrite_family); alpha_apply,
+(top where none does); both work on masks and C-level passes, with no
+Python step per configuration.  One application thus feeds alpha, the named
+view (`named_view`) and the rewrite (reconfig.rewrite_family); alpha_apply,
 abstract_configs and reconfigure apply, then read.
 
 The rewrite maps a statement over the input set to one over the output's
@@ -58,9 +61,11 @@ meaning_configs, which read only the set, pay nothing for it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import compress
+from functools import cache, partial, reduce
+from itertools import chain, compress, repeat
+from operator import or_
 
 from . import featexp, lang
 from .errors import SemanticError, UndeclaredFeature
@@ -73,7 +78,6 @@ from .featexp import (
     Not,
     Or,
     TRUE,
-    bit_indices,
     conj_all,
     disj_all,
     fold_balanced,
@@ -185,13 +189,11 @@ def _concrete(configs):
     return configs
 
 
-def _select(configs, phi):
-    """Indices of components whose every configuration satisfies phi."""
-    t = configs.mask(phi)
-    if configs.is_concrete:
-        return list(compress(range(len(configs)), configs.bits_of(t)))
+def _select(configs, t):
+    """Indices of components whose every configuration is in the mask t."""
     rest = configs.universe.full & ~t
-    return [i for i, cover in enumerate(configs.covers) if not cover & rest]
+    inside = configs.bits_of(t, lambda i, cover: not cover & rest)
+    return list(compress(range(len(configs)), inside))
 
 
 def _groups_by_elimination(configs, features):
@@ -200,10 +202,16 @@ def _groups_by_elimination(configs, features):
     Two meanings are equivalent after eliminating the features exactly when
     their configurations agree on the remaining features.
     """
-    names, codes = configs.universe.space.features, configs.universe.codes
+    universe = configs.universe
+    names = universe.space.features
     keep = sum(1 << len(names) - 1 - k for k, f in enumerate(names) if f not in features)
-    keys = ([codes[m] & keep for m in configs.members] if configs.is_concrete
-            else [frozenset(codes[b] & keep for b in bits) for bits in configs.positions()])
+    kept = list(map(keep.__and__, universe.codes))
+
+    def of_join(i, cover):  # a join of configurations that agree is keyed as one of them
+        key = frozenset(compress(kept, universe.bits(cover)))
+        return next(iter(key)) if len(key) == 1 else key
+
+    keys = configs.per_member(kept, of_join)
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -218,20 +226,11 @@ def _product_merge(sides, alloc):
     shared with it, otherwise it is appended.  A side owns the merged
     components its own components landed on.
     """
-    concrete = all(side.is_concrete for side, _ in sides)
-    features, index = {}, {}
-    members, covers, owns = [], [], []
-    for side, _ in sides:
-        features.update(dict.fromkeys(side.named_space.features))
-        own = 0
-        covers_of = side.members if concrete else side.covers  # a concrete set keeps no covers
-        for member, cover in zip(side.members, covers_of):
-            if member not in index:
-                index[member] = len(members)
-                members.append(member)
-                covers.append(cover)
-            own |= 1 << index[member]
-        owns.append(own)
+    members = tuple(dict.fromkeys(chain.from_iterable(side.members for side, _ in sides)))
+    covers = {side.members[i]: cover for side, _ in sides for i, cover in side.joins}
+    joins = tuple((i, covers[members[i]])
+                  for i in compress(range(len(members)), map(covers.__contains__, members)))
+    features = dict.fromkeys(chain.from_iterable(side.named_space.features for side, _ in sides))
     universe = sides[0][0].universe
     # the hints close over the sides' hints, not the sides, so that a set
     # keeps none of the sets it was merged from alive
@@ -240,16 +239,17 @@ def _product_merge(sides, alloc):
     merged = ConfigSet(
         universe.space,
         universe,
-        tuple(members),
-        None if concrete else tuple(covers),
+        members,
+        joins,
         # each side's renames extend those of the common input set, in order
         {name: m for side, _ in sides for name, m in side.renames.items()},
-        (lambda: _merged_meaning_hint(hints)) if concrete else lambda: None,
+        (lambda: _merged_meaning_hint(hints)) if not joins else lambda: None,
         FeatureSpace(tuple(features)),
         _once(lambda: _merged_named_hint(named_hints)),
     )
+    owned = [side.members for side, _ in sides]
     rewrites = [rewrite for _, rewrite in sides]
-    return merged, _lazy(lambda: _product_walker(merged, alloc.masker(merged), owns, rewrites))
+    return merged, _lazy(lambda: _product_walker(merged, alloc.masker(merged), owned, rewrites))
 
 
 def _once(build):
@@ -306,25 +306,31 @@ def _merged_named_hint(named_hints):
 def _apply(alpha, configs, alloc):
     """The configuration set alpha makes of `configs`, in both views, and its rewrite."""
     if isinstance(alpha, Join):
-        return _apply_group(range(len(configs)), None, configs, alloc)
+        cover = _inside(configs, configs.universe.full)
+        return _apply_group(range(len(configs)), None, configs, alloc, cover)
     if isinstance(alpha, JoinPhi):
-        indices = _select(configs, alpha.phi) if alpha.phi != TRUE else range(len(configs))
-        return _apply_group(indices, alpha.phi, configs, alloc)
+        t = configs.mask(alpha.phi)
+        indices = _select(configs, t) if alpha.phi != TRUE else range(len(configs))
+        return _apply_group(indices, alpha.phi, configs, alloc, _inside(configs, t))
     if isinstance(alpha, GroupJoin):
-        return _apply_group(alpha.indices, None, configs, alloc)
+        return _apply_group(alpha.indices, None, configs, alloc, _cover(configs, alpha.indices))
     if isinstance(alpha, Proj):
-        indices = _select(configs, alpha.phi)
-        concrete = configs.is_concrete
+        indices = _select(configs, configs.mask(alpha.phi))
         hint_of, named_hint_of, phi = configs.hint_of, configs.named_hint_of, alpha.phi
+        concrete = configs.is_concrete  # proj keeps exactly the configurations satisfying phi
+        kept = set(indices)  # the join members kept, at their new indices:
+        joins = tuple((bisect_left(indices, i), cover) for i, cover in configs.joins if i in kept)
         out = ConfigSet(
             configs.space,
             configs.universe,
             tuple(map(configs.members.__getitem__, indices)),
-            None if concrete else tuple(map(configs.covers.__getitem__, indices)),
+            joins,
             configs.renames,
             (lambda: _conj_hint(hint_of(), phi)) if concrete else lambda: None,
             configs.named_space,
-            _once(lambda: _conj_hint(named_hint_of(), phi)) if concrete else lambda: None,
+            # the named hint only where the meaning hint is known (not after _empty_set)
+            _once(lambda: hint_of() and _conj_hint(named_hint_of(), phi))
+            if concrete else lambda: None,
         )
         return out, _unchanged
     if isinstance(alpha, Compose):
@@ -362,15 +368,13 @@ def _fignore_fold(configs, feature):
 
 
 def _empty_set(configs):
-    # ignoring features of nothing: no components, but the named space stays
-    # so that guards already rewritten over it remain evaluable
+    # ignoring features of nothing: no components, but the named space stays so that
+    # guards rewritten over it remain evaluable; the meaning hint stays unknown
     return ConfigSet(
         configs.space,
         configs.universe,
         (),
-        (),
         renames=configs.renames,
-        hint_of=lambda: FALSE,
         named_space=configs.named_space,
         named_hint_of=lambda: FALSE,
     )
@@ -384,30 +388,41 @@ def _conj_hint(hint, phi):
     return And(hint, phi)
 
 
-def _apply_group(indices, phi, configs, alloc):
-    """Confound the selected components into one fresh-named component."""
+def _apply_group(indices, phi, configs, alloc, cover):
+    """Confound the selected components, which cover `cover`, into one fresh-named component."""
     name = alloc.fresh()
-    if configs.is_concrete:  # set the selected configurations' bits
-        bits = bytearray(len(configs.universe.codes))
-        for i in indices:
-            bits[configs.members[i]] = 1
-        cover = mask_from_bits(bits)
-    else:
-        cover = 0
-        for i in indices:
-            cover |= configs.abstract_covers[i]
     meaning = partial(_group_meaning, indices, phi, configs)
     out = ConfigSet(
         configs.space,
         configs.universe,
         (frozenset((name,)),),
-        (cover,),
+        ((0, cover),),
         renames={**configs.renames, name: meaning},
         hint_of=meaning,
         named_space=FeatureSpace((name,)),
         named_hint_of=lambda: Atom(name),
     )
     return out, _lazy(lambda: _join_walker(alloc.masker(configs), indices, len(configs), name))
+
+
+def _inside(configs, t):
+    """The configurations of the members whose every configuration is in the
+    mask t, as one mask: t on the set's int members, and the join covers in t."""
+    universe, members = configs.universe, configs.members
+    ints = universe.full  # else the int members' bits, one C-level pass
+    if type(members) is not range:
+        ints = mask_from_bits(map(set(members).__contains__, range(len(universe.codes))))
+    cover, rest = t & ints, universe.full & ~t
+    for _, join_cover in configs.joins:
+        if not join_cover & rest:
+            cover |= join_cover
+    return cover
+
+
+def _cover(configs, indices):
+    """The configurations that members `indices` of configs cover, as one mask."""
+    joined = dict(configs.joins)
+    return reduce(or_, (joined[i] if i in joined else 1 << configs.members[i] for i in indices), 0)
 
 
 def _group_meaning(indices, phi, configs):
@@ -480,11 +495,14 @@ def _body_key(body, mask):
     return tuple(key)
 
 
-def _product_walker(merged, mask, owns, rewrites):
-    """The product rule: side k's rewrite, guarded on the merged components owns[k]."""
+def _product_walker(merged, mask, owned, rewrites):
+    """The product rule: side k's rewrite, guarded on the merged components it
+    owns, those its members owned[k] landed on."""
+    flags = [bytes(map(set(own).__contains__, merged.members)) for own in owned]  # per side
+    owns = list(map(mask_from_bits, flags))
     own_formulas = [
-        cache(lambda own=own: disj_all(map(merged.named_formula, bit_indices(own))))
-        for own in owns
+        cache(lambda on=on: disj_all(map(merged.named_formula, compress(range(len(on)), on))))
+        for on in flags
     ]
 
     def repair(k, cond, allowed):
@@ -596,27 +614,35 @@ def alpha_over(out_configs, configs, store, lattice=None):
     """Abstract a lifted store indexed by `configs` onto `out_configs`, the set
     that apply made of `configs`; the result is indexed by `out_configs`.
 
-    Alpha reads the given set the way gamma reads its store's index: each
-    component is the join of the distinct stores of the configurations its
-    cover holds, each table entry joined once.
+    Alpha reads the given set the way gamma reads its store's index: an int
+    member keeps its configuration's store, and a join member joins the table
+    entries whose configurations (one C-level pass each) meet its cover.
     """
     if store.configs != configs:
         raise SemanticError("store is not indexed by the given configuration set")
     lattice = _infer_lattice(store, lattice)
     table = store.table
     _concrete(configs)
-    at = store.index  # universe bit -> table position
+    at = store.index  # universe position -> table position
+    # per table entry, the mask of the configurations whose store it is
+    where = _entry_masks(at, len(table)) if out_configs.joins else ()
 
-    def joined(codes):
-        if len(codes) == 1:
-            return table[codes[0]]
-        out = Store.bot(lattice)
-        for code in codes:
-            out = out.join(table[code])
-        return out
+    def joined(key):  # a table position, or the tuple of those a join member meets
+        if type(key) is int:
+            return table[key]
+        return reduce(Store.join, map(table.__getitem__, key)) if key else Store.bot(lattice)
 
-    keys = [tuple(dict.fromkeys(map(at.__getitem__, bits))) for bits in out_configs.positions()]
+    keys = out_configs.per_member(at, lambda i, cover: tuple(
+        code for code, mask in enumerate(where) if mask & cover))
     return tabulate(joined, out_configs, keys)
+
+
+def _entry_masks(index, size):
+    """Per position e < size of a table, the mask of the components whose index is e."""
+    if size > 256:
+        return [mask_from_bits(map(int.__eq__, index, repeat(e))) for e in range(size)]
+    row = bytes(index)  # table position e is the one byte that translates to 1
+    return [mask_from_bits(row.translate(bytes(e) + b"\1" + bytes(255 - e))) for e in range(size)]
 
 
 def gamma_apply(alpha, configs, store, lattice=None):
@@ -624,27 +650,31 @@ def gamma_apply(alpha, configs, store, lattice=None):
 
     The store is indexed by the set alpha made of `configs`.  Each
     configuration gets the meet of the components covering it, or top when
-    none does.
+    none does.  A configuration is keyed by the table positions covering it:
+    an int member's, read off a dict, and a bit per table position of joins.
     """
     lattice = _infer_lattice(store, lattice)
-    universe, other = store.configs.universe, configs.universe
+    abstract = store.configs
+    universe, other = abstract.universe, configs.universe
     if universe is not other and (universe.space, universe.codes) != (other.space, other.codes):
         raise SemanticError("abstract store is not indexed over the given configurations")
     table = store.table
-    top = Store.top(lattice)
+    joined = {}  # table position -> the union of the covers of the join members holding it
+    for i, cover in abstract.joins:
+        joined[store.index[i]] = joined.get(store.index[i], 0) | cover
 
-    def met(codes):
-        out = table[codes[0]] if codes else top
-        for code in codes[1:]:
-            out = out.meet(table[code])
-        return out
+    def met(key):  # (an int member's code or -1, then one bit per table position of `joined`)
+        parts = [table[code] for code, hit in zip(joined, key[1:]) if hit]
+        parts += [table[key[0]]] if key[0] >= 0 else []
+        return reduce(Store.meet, parts) if parts else Store.top(lattice)
 
-    covering = {}  # universe bit -> table positions of the components covering it
-    for bits, code in zip(store.configs.positions(), store.index):
-        for b in bits:
-            covering[b] = covering.get(b, ()) + (code,)
     # configuration i of a concrete set is universe bit members[i]
-    return tabulate(met, configs, [covering.get(b, ()) for b in configs.members])
+    column = repeat(-1, len(configs))
+    if len(abstract.members) > len(abstract.joins):
+        owner = dict(zip(abstract.members, store.index))  # an int member's position -> its code
+        column = map(owner.get, configs.members, repeat(-1))
+    hits = [configs.bits_of(cover) for cover in joined.values()]
+    return tabulate(met, configs, list(zip(column, *hits)))
 
 
 def fignore_expand(feature, configs):

@@ -4,10 +4,11 @@ A configuration set is decided on by its *covers*: int masks over the valid
 configurations of a feature model (its universe), bit i standing for the
 i-th.  The universe is bit-sliced, one int code per configuration and one
 mask per feature, so formulas become masks by bit algebra and no analysis
-queries a solver.  A concrete set's covers, valuations and formulas are
-built only when read.  One ConfigSet type carries both views an abstraction
-has of its output: by meaning over the original features and by name over
-the abstract ones.
+queries a solver.  A configuration in a set is its universe position, and
+only the components a join made store a cover; covers, valuations and
+formulas are built only when read.  One ConfigSet type carries both views an
+abstraction has of its output: by meaning over the original features and by
+name over the abstract ones.
 
 valid_configs lists a model's valid configurations in canonical order by
 residual enumeration, a top-down BDD construction (Bryant 1986): the model
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import getitem
 
 from .errors import ParseError, SemanticError, UndeclaredFeature
 from .lexer import Cursor
@@ -186,28 +188,40 @@ def eval_featexp(phi, assignment):
     raise TypeError(f"not a feature expression: {phi!r}")
 
 
+_BINARY = {And: "and", Or: "or", Implies: "implies"}
+
+
 def mask_of(phi, feature_mask, full):
     """The configurations satisfying phi, as a bit mask.
 
     feature_mask(name) is the mask of the configurations that enable a
-    feature and full the mask of all of them; connectives are bit operations.
+    feature and full the mask of all of them; connectives are bit operations,
+    applied in post-order on an explicit stack.
     """
-    if isinstance(phi, Atom):
+    if type(phi) is Atom:
         return feature_mask(phi.name)
-    if isinstance(phi, Not):
-        return full & ~mask_of(phi.arg, feature_mask, full)
-    if isinstance(phi, And):
-        return mask_of(phi.left, feature_mask, full) & mask_of(phi.right, feature_mask, full)
-    if isinstance(phi, Or):
-        return mask_of(phi.left, feature_mask, full) | mask_of(phi.right, feature_mask, full)
-    if isinstance(phi, Implies):
-        left = mask_of(phi.left, feature_mask, full)
-        return (full & ~left) | mask_of(phi.right, feature_mask, full)
-    if isinstance(phi, TrueExp):
-        return full
-    if isinstance(phi, FalseExp):
-        return 0
-    raise TypeError(f"not a feature expression: {phi!r}")
+    made, work = [], [phi]  # the masks of the subformulas finished so far; to do
+    while work:
+        item = work.pop()
+        kind = type(item)
+        if kind is Atom:
+            made.append(feature_mask(item.name))
+        elif kind is str:  # a connective whose operands are on top of `made`
+            b = made.pop()
+            if item == "not":
+                made.append(full & ~b)
+            else:
+                a = made.pop()
+                made.append(a & b if item == "and" else a | b if item == "or" else full & ~a | b)
+        elif kind is Not:
+            work += ("not", item.arg)
+        elif kind in _BINARY:
+            work += (_BINARY[kind], item.right, item.left)
+        elif kind is TrueExp or kind is FalseExp:
+            made.append(full if kind is TrueExp else 0)
+        else:
+            raise TypeError(f"not a feature expression: {item!r}")
+    return made[0]
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -219,56 +233,34 @@ def mask_from_bits(bits):
     return int(bytes(bits)[::-1].translate(_BIT_DIGITS) or b"0", 2)
 
 
-def bit_indices(mask):
-    """Positions of the set bits of a mask, ascending, in time linear in its size."""
-    if mask.bit_count() > 64:
-        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-    out = []  # sparse: peel off the lowest set bit
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def render(phi, compact=False):
-    """Concrete syntax for phi, with minimal parentheses.
+    """Concrete syntax for phi, with minimal parentheses, built on an explicit stack.
 
     compact=True drops the spaces around binary operators (result-row style).
     """
     amp, bar, arrow = ("&", "|", "=>") if compact else (" & ", " | ", " => ")
-
-    def prec(node):
-        if isinstance(node, Implies):
-            return 1
-        if isinstance(node, Or):
-            return 2
-        if isinstance(node, And):
-            return 3
-        return 4
-
-    def go(node, minimum):
-        if isinstance(node, Atom):
-            text = node.name
-        elif isinstance(node, TrueExp):
-            text = "true"
-        elif isinstance(node, FalseExp):
-            text = "false"
-        elif isinstance(node, Not):
-            text = "!" + go(node.arg, 4)
-        elif isinstance(node, And):
-            text = go(node.left, 3) + amp + go(node.right, 4)
-        elif isinstance(node, Or):
-            text = go(node.left, 2) + bar + go(node.right, 3)
-        elif isinstance(node, Implies):
-            # right-associative
-            text = go(node.left, 2) + arrow + go(node.right, 1)
+    # per connective: its precedence, the least precedence its left and its
+    # right operand keep unparenthesized, and its text; => is right-associative
+    binary = {And: (3, 3, 4, amp), Or: (2, 2, 3, bar), Implies: (1, 2, 1, arrow)}
+    out, work = [], [(phi, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, minimum = item
+        kind = type(node)
+        if kind is Atom or kind is TrueExp or kind is FalseExp:
+            out.append(node.name if kind is Atom else "true" if kind is TrueExp else "false")
+        elif kind is Not:
+            work += ((node.arg, 4), "!")
+        elif kind in binary:
+            prec, left, right, text = binary[kind]
+            parts = (node.left, left), text, (node.right, right)
+            work += reversed(parts if prec >= minimum else ("(", *parts, ")"))
         else:
-            raise TypeError(f"not a feature expression: {phi!r}")
-        if prec(node) < minimum:
-            return "(" + text + ")"
-        return text
-
-    return go(phi, 0)
+            raise TypeError(f"not a feature expression: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +354,10 @@ class Universe:
         """The configurations of the universe that satisfy phi."""
         return mask_of(phi, self.feature_mask, self.full)
 
+    def bits(self, mask):
+        """Per configuration, 1 if it is in mask, else 0, as bytes."""
+        return bin(mask | 1 << len(self.codes))[:2:-1].encode().translate(_DIGIT_BITS)
+
 
 @dataclass(frozen=True, eq=False)
 class ConfigSet:
@@ -371,10 +367,13 @@ class ConfigSet:
     stands for; covers are all that the analyses and abstractions decide on.
     A member is an int, the universe position of the one configuration it is
     (its cover is that bit), or a frozenset, the fresh named features of a
-    component an abstraction made.  A concrete set has only int members and
-    stores no covers: `covers`, `valuations` and `named` are built when read.
-    It is identified by space and codes, an abstract set by space and covers.
-    A member's formula over `space` is built when read, from its named
+    component a join made.  Only join members store a cover, in `joins` as
+    (index, cover): the int members lie in runs between them, and a reading
+    of a set (`per_member`) is one C-level pass per run and a step per join.
+    A set without join members is concrete; `covers`, `valuations` and
+    `named` are built when read.  A set is identified by its space and, per
+    member, the code of the one configuration it covers, else its cover.  A
+    member's formula over `space` is built when read, from its named
     valuation and the renames.  The named view is over `named_space` (a
     concrete set's own space): `named` holds each member's enabled features
     of it, all others false.  `hint_of` and `named_hint_of`, when they give a
@@ -385,7 +384,7 @@ class ConfigSet:
     space: FeatureSpace
     universe: Universe
     members: tuple | range
-    abstract_covers: tuple[int, ...] | None = None
+    joins: tuple[tuple[int, int], ...] = ()
     renames: dict = field(default_factory=dict)  # name -> () -> formula
     hint_of: Callable[[], FeatExp | None] = lambda: None
     named_space: FeatureSpace | None = None
@@ -403,17 +402,22 @@ class ConfigSet:
     def __hash__(self):
         return hash(self._key())
 
-    def _key(self):  # a concrete set's codes, or an abstract set's covers
-        codes = self.is_concrete and tuple(map(self.universe.codes.__getitem__, self.members))
-        return self.space, codes, self.abstract_covers
+    def _key(self):
+        codes = self.universe.codes
+
+        def of_join(i, cover):  # a join of one configuration is that configuration
+            return codes[cover.bit_length() - 1] if cover and not cover & cover - 1 else (cover,)
+
+        return self.space, tuple(self.per_member(codes, of_join))
 
     @property
     def is_concrete(self):
-        return self.abstract_covers is None
+        return not self.joins
 
     @property
     def covers(self):
-        return tuple(1 << m for m in self.members) if self.is_concrete else self.abstract_covers
+        joined = dict(self.joins)
+        return tuple(joined[i] if i in joined else 1 << m for i, m in enumerate(self.members))
 
     @property
     def valuations(self):
@@ -447,17 +451,32 @@ class ConfigSet:
         """The configurations of the universe that satisfy phi."""
         return self.universe.mask(phi)
 
-    def bits_of(self, mask):
-        """Per member of a concrete set, 1 if its configuration is in mask, else 0."""
-        bits = bin(mask | 1 << len(self.universe.codes))[:2:-1].encode().translate(_DIGIT_BITS)
-        members = self.members  # on the universe's own set, member i is bit i
-        return bits if members == range(len(bits)) else bytes(map(bits.__getitem__, members))
+    def per_member(self, values, of_join):
+        """Per member: values[m] for int member m (a universe position), of_join(i, cover) else."""
+        members, joins = self.members, self.joins
+        if type(members) is range:  # the universe's whole set: member i is bit i
+            return values
+        if len(joins) == len(members):  # join members only
+            return [of_join(i, cover) for i, cover in joins]
+        out, start = [], 0
+        for i, cover in joins:
+            out += map(getitem, repeat(values), members[start:i])
+            out.append(of_join(i, cover))
+            start = i + 1
+        out += map(getitem, repeat(values), members[start:])
+        return out
+
+    def bits_of(self, mask, of_join=lambda i, cover: 0):
+        """Per member, as bytes: an int member's bit of mask, of_join(i, cover)
+        for join member i (0 unless given)."""
+        bits = self.universe.bits(mask) if len(self.members) > len(self.joins) else b""
+        return bytes(self.per_member(bits, of_join))
 
     def named_masker(self):
         """phi over the named space -> the mask of the members whose named
         valuation satisfies phi (other features false), memoized per phi object.
         A feature's mask reads the universe's: as it stands on a universe's whole
-        set, else bit m for an int member m; other members enable their names.
+        set, else its bit for an int member; join members enable their names.
         """
         universe, members = self.universe, self.members
         masks = dict(universe._feature_masks) if members == range(len(universe.codes)) else {}
@@ -465,13 +484,9 @@ class ConfigSet:
 
         def feature_mask(name):
             if name not in masks:
-                mask = universe._feature_masks.get(name, 0)
-                if self.is_concrete:
-                    masks[name] = mask_from_bits(self.bits_of(mask))
-                else:
-                    on = bin(mask | 1 << len(universe.codes))[:2:-1]  # on[m] is bit m
-                    masks[name] = mask_from_bits(
-                        [on[m] == "1" if type(m) is int else name in m for m in members])
+                on = self.bits_of(universe._feature_masks.get(name, 0),
+                                  lambda i, cover: name in members[i])
+                masks[name] = mask_from_bits(on)
             return masks[name]
 
         def mask(phi):  # by identity, keeping phi alive: deep guards hash slowly
@@ -480,18 +495,6 @@ class ConfigSet:
             return memo[id(phi)][1]
 
         return mask
-
-    def positions(self):
-        """Per member, the universe positions of the configurations it covers."""
-        covers = self.members if self.is_concrete else self.abstract_covers
-        return [(m,) if type(m) is int else bit_indices(c) for m, c in zip(self.members, covers)]
-
-    def index_of(self, phi):
-        """Position of the first member whose cover is the configurations satisfying phi."""
-        try:
-            return self.covers.index(self.mask(phi))
-        except ValueError:
-            raise SemanticError(f"no configuration equivalent to {render(phi)}") from None
 
 
 def named_meaning(on, renames, space):
@@ -530,7 +533,6 @@ class FeatureModel:
 
 _ENUM_BUDGET = 1 << 21
 _FALSE, _TRUE = 0, 1  # the node ids of the constants
-_BINARY = {And: "and", Or: "or", Implies: "implies"}
 
 
 class _Residuals:

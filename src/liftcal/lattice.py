@@ -313,10 +313,6 @@ class LiftedStore:
         self._check_match(other)
         return combine(fn, self.configs, (self.table, other.table), (self.index, other.index))
 
-    def pi(self, phi):
-        """The component whose configurations are exactly those satisfying phi."""
-        return self.table[self.index[self.configs.index_of(phi)]]
-
     def with_stores(self, stores):
         return LiftedStore(self.configs, stores)
 
@@ -373,19 +369,3 @@ def combine(fn, configs, tables, columns):
     distinct tuple of positions.
     """
     return tabulate(lambda key: fn(*map(getitem, tables, key)), configs, list(zip(*columns)))
-
-
-def value_join(lattice, a, b):
-    return lattice.join(a, b)
-
-
-def value_meet(lattice, a, b):
-    return lattice.meet(a, b)
-
-
-def value_leq(lattice, a, b):
-    return lattice.leq(a, b)
-
-
-def hat_binop(lattice, op, a, b):
-    return lattice.binop(op, a, b)

@@ -20,21 +20,22 @@ cover with the mask t of the configurations satisfying theta:
     cover & ~t == 0      -> analyzed
     otherwise            -> old joined with analyzed (mixed)
 
-A configuration covers one bit, so a concrete set never meets the mixed
-case: its member i is analyzed exactly when its universe bit of t is set,
-and the case list is read off t's bits in C, with no cover per member.  An
-empty cover (a join that confounded nothing) counts as untouched, matching
-what its never-satisfied rewritten guard does.  Covers and masks are all the
-engine reads of a configuration set; it builds no formula.
+A configuration covers one bit, so an int member (one configuration, in a
+concrete set or an abstract one) never meets the mixed case: it is analyzed
+exactly when its universe bit of t is set, and the int members' cases are
+read off t's bits in C, with no cover per member.  Only join members' covers
+are compared.  An empty cover (a join that confounded nothing) counts as
+untouched, matching what its never-satisfied rewritten guard does.  Covers
+and masks are all the engine reads of a configuration set; it builds no
+formula.
 
 Lifted stores are dictionary-encoded (`lattice.LiftedStore`): a table of
 distinct stores and one index per component.  An assignment runs once per
 table entry; a join and the `#if` merge run once per distinct tuple of
 positions, with the case list as one more column over the table `CASES`
 (`lattice.combine`).  So store operations follow the number of distinct
-stores, and only the keying (C-level passes over the int columns) and an
-abstract set's `#if` case split stay per component: a chain of n `#if`s over
-2^n configurations holds n+1 stores.
+stores, and only the keying (C-level passes over the int columns) stays per
+component: a chain of n `#if`s over 2^n configurations holds n+1 stores.
 """
 
 from __future__ import annotations
@@ -73,15 +74,11 @@ def eval_expr(expr, store):
 
 
 def ifdef_cases(configs, theta):
-    """Per-component case of a `#if (theta)` over a configuration set."""
+    """Per-component case of a `#if (theta)` over a configuration set, as bytes."""
     t = configs.mask(theta)
-    if configs.is_concrete:
-        return configs.bits_of(t)
     rest = configs.universe.full & ~t
-    return [
-        UNTOUCHED if not cover & t else ANALYZED if not cover & rest else MIXED
-        for cover in configs.covers
-    ]
+    return configs.bits_of(
+        t, lambda i, c: UNTOUCHED if not c & t else ANALYZED if not c & rest else MIXED)
 
 
 def _merge_case(case, old, new):

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 from . import abstraction as ab
 from . import featexp, lang
-from .abstracted import analyze_abstracted, analyze_expr_abstracted, build_dataflow, solve_dataflow
+from .abstracted import analyze_abstracted, build_dataflow, solve_dataflow
 from .errors import SemanticError
 from .featexp import FeatureModel, FeatureSpace, valid_configs
 from .lattice import CONST, CONST_PLUS, GEQ0, LEQ0, BOT, TOP, LiftedStore, Store, intval
-from .lifted import analyze_lifted, analyze_single, eval_expr
+from .lifted import analyze_expr_lifted, analyze_lifted, analyze_single, eval_expr
 from .reconfig import rewrite_family
 
 FEATURE_NAMES = ("A", "B", "C", "D")
@@ -476,7 +476,7 @@ def check_soundness(gen, cases=200):
         wrapped = LiftedStore(
             configs, tuple(Store.of(gen.lattice, {"_": v}) for v in values)
         )
-        abstracted_vals = analyze_expr_abstracted(expr, d_bar)
+        abstracted_vals = analyze_expr_lifted(expr, d_bar)
         alpha_vals = ab.alpha_over(meanings, configs, wrapped, gen.lattice)
         for left, right in zip(
             (s.get("_") for s in alpha_vals.stores), abstracted_vals
@@ -510,7 +510,7 @@ def check_monotonicity(gen, cases=200):
             continue
         expr = gen_expr(gen)
         lattice = gen.lattice
-        for pair, engine in (((low, high), analyze_expr_abstracted),):
+        for pair, engine in (((low, high), analyze_expr_lifted),):
             left = engine(expr, pair[0])
             right = engine(expr, pair[1])
             if not all(lattice.leq(a, b) for a, b in zip(left, right)):

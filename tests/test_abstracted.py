@@ -9,14 +9,9 @@ import liftcal.abstracted
 from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang, oracle
-from liftcal.abstracted import (
-    analyze_abstracted,
-    analyze_expr_abstracted,
-    build_dataflow,
-    solve_dataflow,
-)
+from liftcal.abstracted import analyze_abstracted, build_dataflow, solve_dataflow
 from liftcal.lattice import CONST, CONST_PLUS, GEQ0, TOP, LiftedStore, Store, intval
-from liftcal.lifted import analyze_lifted, eval_expr
+from liftcal.lifted import analyze_expr_lifted, analyze_lifted, eval_expr
 
 from conftest import CHAIN_SOURCE
 
@@ -33,7 +28,7 @@ def values(lifted):
 def test_expr_lookup(space, configs):
     meanings = ab.meaning_configs(ab.Join(), space, configs)
     store = LiftedStore(meanings, (Store.of(CONST, {"x": intval(1)}),))
-    assert analyze_expr_abstracted(lang.Var("x"), store) == (intval(1),)
+    assert analyze_expr_lifted(lang.Var("x"), store) == (intval(1),)
 
 
 def test_expr_binop_per_component(space, configs):
@@ -43,13 +38,13 @@ def test_expr_binop_per_component(space, configs):
         meanings, (Store.of(CONST, {"x": intval(0)}), Store.of(CONST, {"x": intval(1)}))
     )
     expr = lang.BinOp("+", lang.Var("x"), lang.Num(1))
-    assert analyze_expr_abstracted(expr, store) == (intval(1), intval(2))
+    assert analyze_expr_lifted(expr, store) == (intval(1), intval(2))
 
 
 def test_expr_constant(space, configs):
     meanings = ab.meaning_configs(ab.Join(), space, configs)
     store = LiftedStore.top(meanings, CONST)
-    assert analyze_expr_abstracted(lang.Num(5), store) == (intval(5),)
+    assert analyze_expr_lifted(lang.Num(5), store) == (intval(5),)
 
 
 def test_join_a_on_s1(s1, space, configs):

@@ -303,6 +303,23 @@ def test_deep_program_gets_a_dataflow_answer(capsys, tmp_path):
     assert lines[-2:] == ["  out A: x=2999", "  out !A: x=2999"]
 
 
+def test_long_conjunctive_model_gets_an_abstracted_answer(capsys, tmp_path):
+    # 5,000 clauses parse as a left-deep chain of `&`, which the join's name
+    # renders and the rewrite masks; the cyclic implications leave two
+    # configurations, all features on or all off
+    clauses = " & ".join(f"(!A{k % 20 + 1} | A{(k + 1) % 20 + 1})" for k in range(5000))
+    features = ", ".join(f"A{i}" for i in range(1, 21))
+    family = tmp_path / "clauses.imp"
+    family.write_text(f"features {features};\nmodel {clauses};\n"
+                      "begin x := 0; #if (A1) { x := x + 1 } end")
+    code, out, err = run(capsys, "analyze", str(family), "--abs", "join")
+    assert (code, err) == (0, "")
+    assert out == clauses.replace(" ", "") + ": x=top\n"
+    code, out, err = run(capsys, "reconfigure", str(family), "--abs", "join")
+    assert (code, err) == (0, f"Z1 = {clauses}\n")
+    assert "#if (Z1) { if (0) { x := x + 1 } else { skip } }" in out
+
+
 def test_deeply_nested_if_answers_or_exits_2(capsys, tmp_path):
     deep = tmp_path / "nested.imp"
     depth = 10_000

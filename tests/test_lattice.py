@@ -134,15 +134,6 @@ def test_const_plus_refines_const():
             assert CONST_PLUS.leq(CONST_PLUS.join(a, b), j) or j == TOP
 
 
-def test_value_op_wrappers():
-    from liftcal.lattice import hat_binop, value_join, value_leq, value_meet
-
-    assert value_join(CONST, BOT, intval(1)) == intval(1)
-    assert value_meet(CONST_PLUS, LEQ0, GEQ0) == intval(0)
-    assert value_leq(CONST, intval(2), TOP)
-    assert hat_binop(CONST, "+", intval(2), intval(3)) == intval(5)
-
-
 def test_value_literals_round_trip():
     for v in PLUS_CARRIER:
         assert parse_value(render_value(v), CONST_PLUS) == v
@@ -287,15 +278,6 @@ def test_lifted_component_wise(configs):
     assert [s.get("x") for s in single.stores] == [TOP, intval(1), TOP]
 
 
-def test_pi_selects_by_equivalent_formula(s2, configs):
-    from liftcal.lattice import LiftedStore
-    from liftcal.lifted import analyze_lifted
-
-    result = analyze_lifted(s2.body, LiftedStore.top(configs, CONST))
-    component = result.pi(fx.parse_featexp("!B & A", configs.space))
-    assert component.get("x") == intval(1)
-
-
 def test_lifted_mismatch_rejected(configs):
     other = fx.valid_configs(
         fx.FeatureModel(configs.space, fx.Atom("A"))
@@ -310,19 +292,6 @@ def test_lifted_top_and_bot_share_one_store(configs):
     for lifted in (LiftedStore.top(configs, CONST), LiftedStore.bot(configs, CONST)):
         assert len(lifted) == 3
         assert all(s is lifted.stores[0] for s in lifted.stores)
-
-
-def test_pi_selects_by_configurations(s2, configs):
-    from liftcal.lattice import LiftedStore
-    from liftcal.lifted import analyze_lifted
-
-    # under the model A | B, !A holds in !A & B alone
-    result = analyze_lifted(s2.body, LiftedStore.top(configs, CONST))
-    component = result.pi(fx.parse_featexp("!A", configs.space))
-    assert component == result.pi(fx.parse_featexp("!A & B", configs.space))
-    assert component.get("x") == intval(-1)
-    with pytest.raises(SemanticError):
-        result.pi(fx.parse_featexp("A", configs.space))
 
 
 def test_integers_wider_than_the_cap_widen_to_top():

@@ -2,6 +2,7 @@
 
     python tools/differential.py OUT.json          # write the fingerprints
     python tools/differential.py --diff OLD NEW    # list the keys that differ
+    python tools/differential.py --check GOLDEN    # recompute, list the keys that differ
 
 Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
 case, 5,147 in all:
@@ -64,7 +65,11 @@ case, 5,147 in all:
   parse_program, parse_abstraction or parse_featexp on a fixed corpus of
   malformed inputs.
 
-`--diff` exits 1 when a key differs or is missing on one side.
+`--diff` and `--check` exit 1 when a key differs or is missing on one side.
+The committed `tests/golden/fingerprints.json` holds every key;
+`fast_hashes` recomputes the quick families and a slice of the case keys,
+which tier-1 compares with it.  A change that alters an output regenerates
+that file, so its diff shows which keys changed.
 """
 
 from __future__ import annotations
@@ -297,12 +302,13 @@ def _digest(rows):
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-def case_hashes():
+def case_hashes(cases=CASES):
+    """The case and relations keys of the first `cases` cases of every stream."""
     out = {}
     for seed in SEEDS:
         for name, lattice in LATTICES.items():
             gen = oracle.CaseGen(seed, max_features=4, max_abs_depth=4, lattice=lattice)
-            for i in range(CASES):
+            for i in range(cases):
                 try:
                     parts, relations = _case_parts(gen)
                 except LiftcalError as exc:
@@ -485,27 +491,48 @@ def parse_hashes():
     return out
 
 
-def diff(old_path, new_path):
-    old = json.loads(Path(old_path).read_text())
-    new = json.loads(Path(new_path).read_text())
-    differ = [key for key in old if old[key] != new.get(key)]
-    differ += [key for key in new if key not in old]
-    for key in differ:
+def all_hashes():
+    return {
+        **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
+        **parse_hashes(), **store_hashes(), **decide_hashes(), **nest_hashes(),
+    }
+
+
+FAST_CASES = 40
+
+
+def fast_hashes():
+    """The families that take about a second each, and the first FAST_CASES
+    cases of every case stream: 624 keys in about 5 s."""
+    return {
+        **parse_hashes(), **store_hashes(), **decide_hashes(), **nest_hashes(),
+        **property_hashes(), **enum_hashes(), **case_hashes(FAST_CASES),
+    }
+
+
+def diff(old, new):
+    """Print the keys whose fingerprints differ, or that one side lacks."""
+    keys = [key for key in old if old[key] != new.get(key)]
+    keys += [key for key in new if key not in old]
+    for key in keys:
         print(key)
-    print(f"{len(differ)} of {len(set(old) | set(new))} keys differ", file=sys.stderr)
-    return 1 if differ else 0
+    print(f"{len(keys)} of {len(set(old) | set(new))} keys differ", file=sys.stderr)
+    return 1 if keys else 0
+
+
+def _load(path):
+    return json.loads(Path(path).read_text())
 
 
 def main(argv):
     if len(argv) == 3 and argv[0] == "--diff":
-        return diff(argv[1], argv[2])
+        return diff(_load(argv[1]), _load(argv[2]))
+    if len(argv) == 2 and argv[0] == "--check":
+        return diff(_load(argv[1]), all_hashes())
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    hashes = {
-        **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
-        **parse_hashes(), **store_hashes(), **decide_hashes(), **nest_hashes(),
-    }
+    hashes = all_hashes()
     Path(argv[0]).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} fingerprints written to {argv[0]}", file=sys.stderr)
     return 0
