@@ -61,7 +61,6 @@ meaning_configs, which read only the set, pay nothing for it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
@@ -154,7 +153,7 @@ class GroupJoin(Abstraction):
 
 
 class NameAllocator:
-    """Fresh feature names, and its sets' named maskers, for one application.
+    """Fresh feature names, its sets' named maskers and its joins' meanings, for one application.
 
     Each `fresh()` yields the first of Z1, Z2, ... that is not in `used` and comes
     after the name the previous call yielded.
@@ -164,6 +163,7 @@ class NameAllocator:
         self.used = frozenset(used)
         self.next = 1
         self.maskers = {}  # id of a set -> (the set, its named masker)
+        self.meanings = {}  # fresh name -> the formula it names, built on first read
 
     def masker(self, configs):
         """The named masker of configs, built once: fignore's joins share one."""
@@ -317,20 +317,13 @@ def _apply(alpha, configs, alloc):
     if isinstance(alpha, Proj):
         indices = _select(configs, configs.mask(alpha.phi))
         hint_of, named_hint_of, phi = configs.hint_of, configs.named_hint_of, alpha.phi
-        concrete = configs.is_concrete  # proj keeps exactly the configurations satisfying phi
-        kept = set(indices)  # the join members kept, at their new indices:
-        joins = tuple((bisect_left(indices, i), cover) for i, cover in configs.joins if i in kept)
-        out = ConfigSet(
-            configs.space,
-            configs.universe,
-            tuple(map(configs.members.__getitem__, indices)),
-            joins,
-            configs.renames,
-            (lambda: _conj_hint(hint_of(), phi)) if concrete else lambda: None,
-            configs.named_space,
+        if not configs.is_concrete:  # hints: a concrete proj keeps exactly phi's configurations
+            return configs.subset(indices), _unchanged
+        out = configs.subset(
+            indices,
+            lambda: _conj_hint(hint_of(), phi),
             # the named hint only where the meaning hint is known (not after _empty_set)
-            _once(lambda: hint_of() and _conj_hint(named_hint_of(), phi))
-            if concrete else lambda: None,
+            _once(lambda: hint_of() and _conj_hint(named_hint_of(), phi)),
         )
         return out, _unchanged
     if isinstance(alpha, Compose):
@@ -391,7 +384,7 @@ def _conj_hint(hint, phi):
 def _apply_group(indices, phi, configs, alloc, cover):
     """Confound the selected components, which cover `cover`, into one fresh-named component."""
     name = alloc.fresh()
-    meaning = partial(_group_meaning, indices, phi, configs)
+    meaning = partial(_group_meaning, alloc.meanings, name, indices, phi, configs)
     out = ConfigSet(
         configs.space,
         configs.universe,
@@ -425,9 +418,17 @@ def _cover(configs, indices):
     return reduce(or_, (joined[i] if i in joined else 1 << configs.members[i] for i in indices), 0)
 
 
-def _group_meaning(indices, phi, configs):
-    """The formula a join names: the disjunction of the selected components, kept
-    compact through the set's hint (and the selection formula phi) where known."""
+def _group_meaning(meanings, name, indices, phi, configs):
+    """The formula join `name` names, built once per application: fproj's
+    renames read an inner join's formula once per member."""
+    if name not in meanings:
+        meanings[name] = _join_formula(indices, phi, configs)
+    return meanings[name]
+
+
+def _join_formula(indices, phi, configs):
+    """The disjunction of the selected components, kept compact through the
+    set's hint (and the selection formula phi) where known."""
     if not indices:
         return FALSE
     if phi is not None and configs.is_concrete:
@@ -449,6 +450,7 @@ def _group_meaning(indices, phi, configs):
 def _join_walker(mask, indices, size, name):
     """The join rule over members `indices` of a set of `size`, by its named masker."""
     z = Atom(name)
+    not_z = Not(z)  # one object, so the masker's memo hits
     selection = (1 << size) - 1
     if indices != range(size):
         selection = mask_from_bits(map(set(indices).__contains__, range(size)))
@@ -461,7 +463,7 @@ def _join_walker(mask, indices, size, name):
         # untouched first: on an empty join the statement must stay dead,
         # matching the untouched case of the analysis
         if not t:
-            return lang.IfDef(Not(z), body)
+            return lang.IfDef(not_z, body)
         if t == selection:
             return lang.IfDef(z, body)
         return lang.IfDef(z, lang.Lub(body, lang.Skip()))

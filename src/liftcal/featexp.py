@@ -20,6 +20,7 @@ first compares the two formulas' roots in one DAG.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -170,22 +171,9 @@ def features_of(phi):
 
 
 def eval_featexp(phi, assignment):
-    """Evaluate phi under a total assignment (a mapping from name to bool)."""
-    if isinstance(phi, Atom):
-        return assignment[phi.name]
-    if isinstance(phi, Not):
-        return not eval_featexp(phi.arg, assignment)
-    if isinstance(phi, And):
-        return eval_featexp(phi.left, assignment) and eval_featexp(phi.right, assignment)
-    if isinstance(phi, Or):
-        return eval_featexp(phi.left, assignment) or eval_featexp(phi.right, assignment)
-    if isinstance(phi, Implies):
-        return (not eval_featexp(phi.left, assignment)) or eval_featexp(phi.right, assignment)
-    if isinstance(phi, TrueExp):
-        return True
-    if isinstance(phi, FalseExp):
-        return False
-    raise TypeError(f"not a feature expression: {phi!r}")
+    """Evaluate phi under a total assignment (a mapping from name to bool):
+    its mask over the one configuration, by mask_of's explicit stack."""
+    return mask_of(phi, assignment.__getitem__, 1) == 1
 
 
 _BINARY = {And: "and", Or: "or", Implies: "implies"}
@@ -450,6 +438,14 @@ class ConfigSet:
     def mask(self, phi):
         """The configurations of the universe that satisfy phi."""
         return self.universe.mask(phi)
+
+    def subset(self, indices, hint_of=lambda: None, named_hint_of=lambda: None):
+        """Members `indices` (ascending) of the set, join members re-indexed,
+        with the hints given (unknown by default)."""
+        kept = set(indices)
+        joins = tuple((bisect_left(indices, i), cover) for i, cover in self.joins if i in kept)
+        return ConfigSet(self.space, self.universe, tuple(map(self.members.__getitem__, indices)),
+                         joins, self.renames, hint_of, self.named_space, named_hint_of)
 
     def per_member(self, values, of_join):
         """Per member: values[m] for int member m (a universe position), of_join(i, cover) else."""

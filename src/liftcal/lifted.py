@@ -20,6 +20,13 @@ cover with the mask t of the configurations satisfying theta:
     cover & ~t == 0      -> analyzed
     otherwise            -> old joined with analyzed (mixed)
 
+A `#if` that leaves some components untouched and whose body holds an `if`,
+a lub, a `while` or a `#if` runs its body on the subset of the analyzed and
+mixed components only (`ConfigSet.subset`, built once per `#if` and set it
+sees in one analysis); the merge reads the body's result back by position,
+in one pass over the whole set.  A body of assignments and skips runs on
+the whole set: it costs one step per table entry either way.
+
 A configuration covers one bit, so an int member (one configuration, in a
 concrete set or an abstract one) never meets the mixed case: it is analyzed
 exactly when its universe bit of t is set, and the int members' cases are
@@ -40,9 +47,11 @@ component: a chain of n `#if`s over 2^n configurations holds n+1 stores.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from . import lang
 from .errors import SemanticError
-from .lattice import LiftedStore, combine, intval
+from .lattice import LiftedStore, combine, intval, tabulate
 
 UNTOUCHED, ANALYZED, MIXED = 0, 1, 2  # a configuration's case is its bit of the #if's mask
 # the table that a column of cases indexes
@@ -85,14 +94,38 @@ def _merge_case(case, old, new):
     return new if case == ANALYZED else old if case == UNTOUCHED else old.join(new)
 
 
-def merge_ifdef(cases, before, after):
-    """The store after a `#if`: per case, analyzed, untouched or both joined."""
+def merge_ifdef(cases, before, after, column=None):
+    """The store after a `#if`: per case, analyzed, untouched or both joined.
+    `column` is after's index over before's set (after's own by default)."""
     return combine(
         _merge_case,
         before.configs,
         (CASES, before.table, after.table),
-        (cases, before.index, after.index),
+        (cases, before.index, after.index if column is None else column),
     )
+
+
+def _compound(stmt):
+    """Whether stmt holds an if, a lub, a while or a #if: all but a sequence
+    of assignments and skips."""
+    work = [stmt]
+    while work:
+        node = work.pop()
+        if type(node) is lang.Seq:
+            work += node.first, node.second
+        elif type(node) is not lang.Assign and type(node) is not lang.Skip:
+            return True
+    return False
+
+
+def _split(stmt, configs):
+    """A `#if`'s case column over configs, and the subset its body runs on
+    with the positions of its members, or None where the body runs on all."""
+    cases = ifdef_cases(configs, stmt.cond)
+    if UNTOUCHED not in cases or cases.count(UNTOUCHED) == len(cases) or not _compound(stmt.body):
+        return cases, None, None
+    kept = list(compress(range(len(cases)), cases))
+    return cases, configs.subset(kept), kept
 
 
 def analyze_expr_lifted(expr, store, configs=None):
@@ -124,9 +157,10 @@ def analyze_single(stmt, store):
 
 def analyze(stmt, store):
     """The engine: analyze stmt on every component of a lifted store at once."""
-    # id of an #if -> its case list; every store of one analysis has one
-    # configuration set, so a loop does not recompute it per Kleene iteration
-    columns = {}
+    # (id of an #if, id of the set it sees) -> its split, so a loop does not
+    # recompute it per Kleene iteration; one statement object may sit under
+    # two #ifs that restrict it to different subsets
+    splits = {}
 
     def run(stmt, store):
         if isinstance(stmt, lang.Skip):
@@ -142,12 +176,22 @@ def analyze(stmt, store):
         if isinstance(stmt, lang.While):
             return kleene_accumulate(lambda s: run(stmt.body, s), store)
         if isinstance(stmt, lang.IfDef):
-            cases = columns.get(id(stmt))
-            if cases is None:
-                cases = columns[id(stmt)] = ifdef_cases(store.configs, stmt.cond)
-            if cases.count(UNTOUCHED) == len(cases):
-                return store
-            return merge_ifdef(cases, store, run(stmt.body, store))
+            key = id(stmt), id(store.configs)
+            split = splits.get(key)
+            if split is None:
+                split = splits[key] = _split(stmt, store.configs)
+            cases, subset, kept = split
+            if subset is None:
+                if cases.count(UNTOUCHED) == len(cases):
+                    return store
+                return merge_ifdef(cases, store, run(stmt.body, store))
+            index = store.index
+            after = run(stmt.body, tabulate(store.table.__getitem__, subset,
+                                            list(map(index.__getitem__, kept))))
+            column = [0] * len(index)  # untouched components ignore theirs
+            for k, e in zip(kept, after.index):
+                column[k] = e
+            return merge_ifdef(cases, store, after, column)
         raise TypeError(f"not a statement: {stmt!r}")
 
     return run(stmt, store)

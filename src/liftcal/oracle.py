@@ -557,18 +557,15 @@ def check_commutation(gen, cases=200):
         def fails(p, rewritten=None):
             if rewritten is None:
                 rewritten = rewrite_family(p, applied)[0]
-            via_rewrite = analyze_lifted(rewritten.body, entry)
-            direct = analyze_abstracted(p.body, d_bar)
-            return any(
-                via_rewrite.stores[pos] != direct.stores[j]
-                for pos, j in enumerate(mapping)
-            )
+            got = analyze_lifted(rewritten.body, entry).stores
+            want = analyze_abstracted(p.body, d_bar).stores
+            return any(got[pos] != want[j] for pos, j in enumerate(mapping))
 
         try:
             rewritten, _ = rewrite_family(program, applied)
             k_new = valid_configs(rewritten.feature_model)
             mapping = match_renamed_configs(ab.named_view(applied[0]), k_new)
-            entry = LiftedStore(k_new, tuple(d_bar.stores[j] for j in mapping))
+            entry = LiftedStore(k_new, tuple(map(d_bar.stores.__getitem__, mapping)))
             failed = fails(program, rewritten)
         except SemanticError as exc:
             report.fail(i, f"configuration mismatch: {exc} on {_describe(program, alpha)}")
@@ -655,10 +652,8 @@ def check_instance(program, alpha, seed=0, cases=50, lattice=CONST):
         rhs = analyze_abstracted(program.body, d_bar)
         if not lhs.leq(rhs):
             sound.fail(i, "soundness sandwich broken")
-        entry = LiftedStore(k_new, tuple(d_bar.stores[j] for j in mapping))
-        via_rewrite = analyze_lifted(rewritten.body, entry)
-        if any(
-            via_rewrite.stores[pos] != rhs.stores[j] for pos, j in enumerate(mapping)
-        ):
+        entry = LiftedStore(k_new, tuple(map(d_bar.stores.__getitem__, mapping)))
+        got, want = analyze_lifted(rewritten.body, entry).stores, rhs.stores
+        if any(got[pos] != want[j] for pos, j in enumerate(mapping)):
             commute.fail(i, "commutation broken")
     return Report([sound, commute])

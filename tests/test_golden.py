@@ -21,8 +21,8 @@ def test_quick_fingerprints_equal_the_golden_file():
     # `tools/differential.py --check tests/golden/fingerprints.json`
     differential = _differential()
     golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == 5147
+    assert len(golden) == 7551
     hashes = differential.fast_hashes()
-    assert len(hashes) == 144 + 12 * differential.FAST_CASES
+    assert len(hashes) == 148 + 18 * differential.FAST_CASES
     assert set(hashes) <= set(golden)
     assert [key for key in hashes if hashes[key] != golden[key]] == []

@@ -1,12 +1,19 @@
 """The lifted analysis engine and the single-program analysis."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
+from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang, lifted
 from liftcal.errors import SemanticError
-from liftcal.lattice import CONST, TOP, LiftedStore, Store, intval
+from liftcal.lattice import CONST, CONST_PLUS, TOP, LiftedStore, Store, intval
 from liftcal.lifted import analyze_expr_lifted, analyze_lifted, analyze_single
+from liftcal.oracle import brute_force_lifted
+from liftcal.reconfig import reconfigure
 
 from conftest import CHAIN_SOURCE
 
@@ -147,3 +154,70 @@ end
     # x is top where A holds, so the loop took more than one Kleene iteration,
     # and each iteration visited both #ifs
     assert [s.get("x") for s in result.stores] == [TOP, TOP, intval(0), intval(0)]
+
+
+def _workloads():
+    """The benchmark's family texts (perfbench/workloads.py), loaded once."""
+    if "perfbench_workloads" not in sys.modules:  # its dataclasses look their module up
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_workloads"]
+
+
+def _split_rewrite(text):
+    """A family rewritten under proj(A1) || join(!A1)."""
+    program = lang.parse_program(text)
+    alpha = ab.parse_abstraction("proj(A1) || join(!A1)", program.feature_model.space)
+    return reconfigure(program, alpha)[0]
+
+
+def test_shared_body_under_two_restricting_ifdefs_matches_brute_force():
+    # one object S sits under #if (A) and #if (C), whose bodies run on
+    # different subsets: a case list memoized by S alone answers wrongly
+    x = [lang.Assign("x", lang.Num(n)) for n in range(3)]
+    shared = lang.IfDef(fx.Atom("B"), lang.If(lang.Num(0), x[1], x[2]))
+    body = lang.seq_all([x[0]] + [
+        lang.IfDef(fx.Atom(name), lang.If(lang.Num(0), shared, lang.Skip())) for name in "AC"
+    ])
+    program = lang.Program(fx.FeatureModel(fx.FeatureSpace(("A", "B", "C")), fx.TRUE), body)
+    configs = fx.valid_configs(program.feature_model)
+    for lattice in (CONST, CONST_PLUS):
+        top = LiftedStore.top(configs, lattice)
+        assert analyze_lifted(body, top) == brute_force_lifted(program, top)
+
+
+@pytest.mark.parametrize("family", ["chain8", "loops1", "loops2", "loops3"])
+def test_rewritten_split_families_match_brute_force(family):
+    workloads = _workloads()
+    text = workloads.chain_text(8) if family == "chain8" else workloads.loops_text(int(family[-1]))
+    program = _split_rewrite(text)
+    configs = fx.valid_configs(program.feature_model)
+    assert len(configs) == 129
+    for lattice in (CONST, CONST_PLUS):
+        top = LiftedStore.top(configs, lattice)
+        assert analyze_lifted(program.body, top) == brute_force_lifted(program, top)
+
+
+def test_rewritten_join_guard_body_runs_on_its_one_component(monkeypatch):
+    # `#if (Z1) { if (0) { x := x + 1 } else { skip } }` fires on the joined
+    # component only; its if is the only join the analysis makes
+    program = _split_rewrite(_workloads().chain_text(8))
+    configs = fx.valid_configs(program.feature_model)
+    sizes = []
+    real = LiftedStore.join
+
+    def counting(self, other):
+        sizes.append(len(self))
+        return real(self, other)
+
+    monkeypatch.setattr(LiftedStore, "join", counting)
+    result = analyze_lifted(program.body, LiftedStore.top(configs, CONST))
+    assert len(configs) == 129
+    assert sizes == [1] * 7
+    # x counts the enabled features on the projected components; the joined
+    # component joins 0 with 1 at the first undecided guard
+    for config, store in zip(configs.valuations, result.stores):
+        on = config.as_dict()
+        assert store.get("x") == (TOP if on.pop("Z1") else intval(sum(on.values())))

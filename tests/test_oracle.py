@@ -191,3 +191,15 @@ def test_report_text_format():
     text = report.render_text()
     assert "oracle-equivalence: pass" in text
     assert text.endswith("all properties passed\n")
+
+
+def test_brute_force_answers_on_a_long_conjunctive_model():
+    # the 5,000-clause model that `liftcal analyze --abs join` answers on
+    # parses as a left-deep chain of `&`, which each variant evaluates
+    clauses = " & ".join(f"(!A{k % 20 + 1} | A{(k + 1) % 20 + 1})" for k in range(5000))
+    features = ", ".join(f"A{i}" for i in range(1, 21))
+    program = lang.parse_program(f"features {features};\nmodel {clauses};\n"
+                                 "begin x := 0; #if (A1) { x := x + 1 } end")
+    configs = fx.valid_configs(program.feature_model)
+    brute = oracle.brute_force_lifted(program, LiftedStore.top(configs, CONST))
+    assert [s.get("x") for s in brute.stores] == [intval(1), intval(0)]

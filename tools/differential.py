@@ -5,7 +5,7 @@
     python tools/differential.py --check GOLDEN    # recompute, list the keys that differ
 
 Imports the `src/` of the checkout this file sits in.  Writes one sha256 per
-case, 5,147 in all:
+case, 7,551 in all:
 
 - 2,400 generated cases (oracle.CaseGen seeds 1-3, 400 cases each, under
   `const` and `constplus`, max_features=4, max_abs_depth=4): the generator's
@@ -24,6 +24,10 @@ case, 5,147 in all:
   abstract entry; the lifted result against gamma of the abstracted
   analysis of alpha(entry); and join and meet of the entry with the lifted
   result.  A relation that raises hashes the error instead.
+- the same 2,400 cases, and the two loop families under
+  `proj(A1) || join(!A1)` on both lattices, one more key each:
+  analyze_lifted from top on the reconfigured family, or the error that
+  reconfiguring or analyzing it raises.
 - `liftcal analyze` (text and json, with and without --dataflow, both
   lattices) and `liftcal reconfigure` on the running examples S1 and S2, the
   11-feature chain, the 6-feature chain under fignore and fproj, and two
@@ -91,7 +95,9 @@ from liftcal import abstraction as ab  # noqa: E402
 from liftcal import cli, featexp, lang, lexer, oracle  # noqa: E402
 from liftcal.abstracted import analyze_abstracted, build_dataflow, solve_dataflow  # noqa: E402
 from liftcal.errors import LiftcalError, ParseError  # noqa: E402
-from liftcal.lattice import BOT, CONST, CONST_PLUS, GEQ0, LEQ0, TOP, Store, intval  # noqa: E402
+from liftcal.lattice import (  # noqa: E402
+    BOT, CONST, CONST_PLUS, GEQ0, LEQ0, TOP, LiftedStore, Store, intval
+)
 from liftcal.lifted import analyze_lifted  # noqa: E402
 from liftcal.reconfig import reconfigure  # noqa: E402
 from perfbench.workloads import SPLIT, chain_text, loops_text  # noqa: E402
@@ -185,9 +191,19 @@ def _relation(holds):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _rewritten_stores(program, lattice):
+    """analyze_lifted from top on a rewritten family, or the liftcal error it raises."""
+    try:
+        configs = featexp.valid_configs(program.feature_model)
+        return _stores(analyze_lifted(program.body, LiftedStore.top(configs, lattice)))
+    except LiftcalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _case_parts(gen):
-    """The outputs of one generated case, as strings, in a fixed order, and
-    the results of the == and leq relations its stores allow."""
+    """The outputs of one generated case, as strings, in a fixed order, the
+    results of the == and leq relations its stores allow, and the analysis
+    of its reconfigured family."""
     program = oracle.gen_random_program(gen)
     space = program.feature_model.space
     alpha = oracle.gen_random_abstraction(gen, space)
@@ -241,9 +257,11 @@ def _case_parts(gen):
         rewritten, renames = reconfigure(program, alpha)
         parts.append(lang.pretty(rewritten))
         parts.append(repr({name: featexp.render(f) for name, f in renames.items()}))
+        analyzed = [_rewritten_stores(rewritten, lattice)]
     except LiftcalError as exc:
         parts.append(f"reconfigure: {type(exc).__name__}: {exc}")
-    return parts, relations
+        analyzed = [parts[-1]]
+    return parts, relations, analyzed
 
 
 NEST_DEPTHS = range(2, 9)
@@ -303,18 +321,30 @@ def _digest(rows):
 
 
 def case_hashes(cases=CASES):
-    """The case and relations keys of the first `cases` cases of every stream."""
+    """The case, relations and rewritten keys of the first `cases` cases of every stream."""
     out = {}
     for seed in SEEDS:
         for name, lattice in LATTICES.items():
             gen = oracle.CaseGen(seed, max_features=4, max_abs_depth=4, lattice=lattice)
             for i in range(cases):
                 try:
-                    parts, relations = _case_parts(gen)
+                    parts, relations, analyzed = _case_parts(gen)
                 except LiftcalError as exc:
-                    parts = relations = [f"{type(exc).__name__}: {exc}"]
+                    parts = relations = analyzed = [f"{type(exc).__name__}: {exc}"]
                 out[f"case {seed}/{name}/{i}"] = _digest(parts)
                 out[f"relations {seed}/{name}/{i}"] = _digest(relations)
+                out[f"rewritten {seed}/{name}/{i}"] = _digest(analyzed)
+    return out
+
+
+def rewritten_hashes():
+    """analyze_lifted from top on the loop families reconfigured under the split."""
+    out = {}
+    for family in ("loops1", "loops2"):
+        program = lang.parse_program(FAMILIES[family][0])
+        rewritten, _ = reconfigure(program, ab.parse_abstraction(SPLIT, program.feature_model.space))
+        for name, lattice in LATTICES.items():
+            out[f"rewritten {family} {name}"] = _digest([_rewritten_stores(rewritten, lattice)])
     return out
 
 
@@ -495,6 +525,7 @@ def all_hashes():
     return {
         **case_hashes(), **cli_hashes(), **enum_hashes(), **check_hashes(), **property_hashes(),
         **parse_hashes(), **store_hashes(), **decide_hashes(), **nest_hashes(),
+        **rewritten_hashes(),
     }
 
 
@@ -503,10 +534,10 @@ FAST_CASES = 40
 
 def fast_hashes():
     """The families that take about a second each, and the first FAST_CASES
-    cases of every case stream: 624 keys in about 5 s."""
+    cases of every case stream: 868 keys in about 5 s."""
     return {
         **parse_hashes(), **store_hashes(), **decide_hashes(), **nest_hashes(),
-        **property_hashes(), **enum_hashes(), **case_hashes(FAST_CASES),
+        **property_hashes(), **enum_hashes(), **rewritten_hashes(), **case_hashes(FAST_CASES),
     }
 
 
