@@ -52,10 +52,20 @@ named space.  It changes only `#if`s, per constructor:
                   that fires where the class must not run is conjoined with
                   its side's components); other side rewrites follow in order
     a1 >> a2:     a2's rewrite applied to a1's output
+    fignore(A):   one join per group of components that agree once A is
+                  dropped, named Z1..Zn in group order; group k's case is
+                  t & sel_k against its selection sel_k, and the product of
+                  the groups' joins is rewritten in one step:
+        one group                     ->  the join rule (#if (!Z1) s' when untouched)
+        a body holding no #if         ->  #if (Za | ...) s'; #if (Zm | ...) lub(s', skip)
+                                          over the analyzed and the mixed groups, in
+                                          first-appearance order; untouched ones drop out
+        a body holding an #if         ->  each live group's join rule, classed by body
+                                          key as the product rule does
 
-join(phi), fignore and fproj rewrite as the join, product and composition
-they apply as, which keeps the fresh names of the set and the rewrite one
-sequence.  A rewrite builds its state on its first call, so alpha, gamma and
+join(phi) and fproj rewrite as the join and the chain of fignores they apply
+as, which keeps the fresh names of the set and the rewrite one sequence.  A
+rewrite builds its state on its first call, so alpha, gamma and
 meaning_configs, which read only the set, pay nothing for it.
 """
 
@@ -137,19 +147,6 @@ class FIgnore(Abstraction):
 @dataclass(frozen=True)
 class FProj(Abstraction):
     features: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class GroupJoin(Abstraction):
-    """Internal: confound an explicit subset of components under a fresh name.
-
-    fignore factors into a product of these, one per group of configurations
-    agreeing after elimination; keeping the selection positional (rather than
-    by formula entailment) keeps degenerate meanings, e.g. equivalent or
-    unsatisfiable components, in their own groups.
-    """
-
-    indices: tuple[int, ...]
 
 
 class NameAllocator:
@@ -312,8 +309,6 @@ def _apply(alpha, configs, alloc):
         t = configs.mask(alpha.phi)
         indices = _select(configs, t) if alpha.phi != TRUE else range(len(configs))
         return _apply_group(indices, alpha.phi, configs, alloc, _inside(configs, t))
-    if isinstance(alpha, GroupJoin):
-        return _apply_group(alpha.indices, None, configs, alloc, _cover(configs, alpha.indices))
     if isinstance(alpha, Proj):
         indices = _select(configs, configs.mask(alpha.phi))
         hint_of, named_hint_of, phi = configs.hint_of, configs.named_hint_of, alpha.phi
@@ -333,10 +328,14 @@ def _apply(alpha, configs, alloc):
     if isinstance(alpha, Product):
         return _product_merge([_apply(part, configs, alloc) for part in alpha.parts], alloc)
     if isinstance(alpha, FIgnore):
-        expansion = _fignore_fold(configs, alpha.feature)
-        if expansion is None:
+        if alpha.feature not in configs.universe.space:
+            raise SemanticError(f"cannot ignore undeclared feature {alpha.feature}")
+        groups = _groups_by_elimination(configs, (alpha.feature,))
+        if not groups:
             return _empty_set(configs), _unchanged
-        return _apply(expansion, configs, alloc)
+        if len(groups) == 1:  # one group confounds the whole set: the plain join
+            return _apply(Join(), configs, alloc)
+        return _partition(groups, configs, alloc)
     if isinstance(alpha, FProj):
         return _apply(_fproj_chain(alpha), configs, alloc)
     raise TypeError(f"not an abstraction: {alpha!r}")
@@ -350,14 +349,30 @@ def _fproj_chain(alpha):
     return out
 
 
-def _fignore_fold(configs, feature):
-    """The product of exact group joins that realizes ignoring one feature."""
-    if feature not in configs.universe.space:
-        raise SemanticError(f"cannot ignore undeclared feature {feature}")
-    groups = _groups_by_elimination(configs, (feature,))
-    if not groups:
-        return None
-    return product(GroupJoin(tuple(group)) for group in groups)
+def _partition(groups, configs, alloc):
+    """Confound each group of components (two or more groups) into its own
+    fresh-named component: the set the product of the groups' joins makes,
+    built in one step.  Keeping the groups positional (rather than by formula
+    entailment) keeps degenerate meanings, e.g. equivalent or unsatisfiable
+    components, in their own groups."""
+    names = [alloc.fresh() for _ in groups]
+    joined, members = dict(configs.joins), configs.members
+    renames = dict(configs.renames)
+    covers = []
+    for name, group in zip(names, groups):
+        renames[name] = partial(_group_meaning, alloc.meanings, name, group, None, configs)
+        covers.append(reduce(or_, (joined[i] if i in joined else 1 << members[i] for i in group)))
+    named_hints = [((name,), partial(Atom, name)) for name in names]
+    out = ConfigSet(
+        configs.space,
+        configs.universe,
+        tuple(frozenset((name,)) for name in names),
+        tuple(enumerate(covers)),
+        renames,
+        named_space=FeatureSpace(tuple(names)),
+        named_hint_of=_once(lambda: _merged_named_hint(named_hints)),
+    )
+    return out, _lazy(lambda: _partition_walker(configs, out, alloc, groups, names))
 
 
 def _empty_set(configs):
@@ -395,7 +410,8 @@ def _apply_group(indices, phi, configs, alloc, cover):
         named_space=FeatureSpace((name,)),
         named_hint_of=lambda: Atom(name),
     )
-    return out, _lazy(lambda: _join_walker(alloc.masker(configs), indices, len(configs), name))
+    return out, _lazy(lambda: _join_walker(alloc.masker(configs), _selection(indices, len(configs)),
+                                           name))
 
 
 def _inside(configs, t):
@@ -410,12 +426,6 @@ def _inside(configs, t):
         if not join_cover & rest:
             cover |= join_cover
     return cover
-
-
-def _cover(configs, indices):
-    """The configurations that members `indices` of configs cover, as one mask."""
-    joined = dict(configs.joins)
-    return reduce(or_, (joined[i] if i in joined else 1 << configs.members[i] for i in indices), 0)
 
 
 def _group_meaning(meanings, name, indices, phi, configs):
@@ -447,13 +457,17 @@ def _join_formula(indices, phi, configs):
 # Rewrites
 
 
-def _join_walker(mask, indices, size, name):
-    """The join rule over members `indices` of a set of `size`, by its named masker."""
+def _selection(indices, size):
+    """Members `indices` of a set of `size`, as a mask."""
+    if indices == range(size):
+        return (1 << size) - 1
+    return mask_from_bits(map(set(indices).__contains__, range(size)))
+
+
+def _join_walker(mask, selection, name):
+    """The join rule over the members in `selection`, by their set's named masker."""
     z = Atom(name)
     not_z = Not(z)  # one object, so the masker's memo hits
-    selection = (1 << size) - 1
-    if indices != range(size):
-        selection = mask_from_bits(map(set(indices).__contains__, range(size)))
 
     def walk(stmt):
         if not isinstance(stmt, lang.IfDef):
@@ -467,6 +481,46 @@ def _join_walker(mask, indices, size, name):
         if t == selection:
             return lang.IfDef(z, body)
         return lang.IfDef(z, lang.Lub(body, lang.Skip()))
+
+    return walk
+
+
+def _partition_walker(configs, out, alloc, groups, names):
+    """The rule of the product of the groups' joins, in one walk: each #if
+    is split into the groups' cases by one mask of its condition over the
+    input set.  A group's #if that it leaves untouched (#if (!Z) s') fires
+    on none of its own components and drops out; the others are classed by
+    body as the product rule does."""
+    mask = alloc.masker(configs)
+    selections = [_selection(group, len(configs)) for group in groups]
+    guards = list(map(Atom, names))
+    walkers = {}  # group -> its join walker, for bodies holding an #if
+
+    def walk(stmt):
+        if not isinstance(stmt, lang.IfDef):
+            return lang.with_children(stmt, tuple(map(walk, lang.children(stmt))))
+        t = mask(stmt.cond)
+        live = [(k, t & selection == selection) for k, selection in enumerate(selections)
+                if t & selection]
+        if not any(type(node) is lang.IfDef for node in lang.preorder(stmt.body)):
+            # every group's join rule copies the body: the analyzed groups run
+            # it, the mixed ones lub(body, skip); one #if per case
+            cases = {}
+            for k, analyzed in live:
+                cases.setdefault(analyzed, []).append(guards[k])
+            return lang.seq_all(
+                lang.IfDef(disj_all(fired), stmt.body if analyzed else lang.Lub(stmt.body, lang.Skip()))
+                for analyzed, fired in cases.items())
+        merged = alloc.masker(out)
+        classes = {}  # body key -> (body, its groups' guards), by first appearance
+        for k, analyzed in live:
+            if k not in walkers:
+                walkers[k] = _join_walker(mask, selections[k], names[k])
+            body = walkers[k](stmt.body)
+            if not analyzed:
+                body = lang.Lub(body, lang.Skip())
+            classes.setdefault(_body_key(body, merged), (body, []))[1].append(guards[k])
+        return lang.seq_all(lang.IfDef(disj_all(fired), body) for body, fired in classes.values())
 
     return walk
 

@@ -28,7 +28,7 @@ from .errors import SemanticError
 from .featexp import FeatureModel, FeatureSpace, valid_configs
 from .lattice import CONST, CONST_PLUS, GEQ0, LEQ0, BOT, TOP, LiftedStore, Store, intval
 from .lifted import analyze_expr_lifted, analyze_lifted, analyze_single, eval_expr
-from .reconfig import rewrite_family
+from .reconfig import rewrite_program
 
 FEATURE_NAMES = ("A", "B", "C", "D")
 VAR_NAMES = ("x", "y", "z")
@@ -174,7 +174,7 @@ def rewrite_exact(alpha):
     transparent sides can otherwise double-analyze shared components when a
     confounding sibling keeps their copies apart).
     """
-    if isinstance(alpha, (ab.Join, ab.JoinPhi, ab.FIgnore, ab.Proj, ab.GroupJoin)):
+    if isinstance(alpha, (ab.Join, ab.JoinPhi, ab.FIgnore, ab.Proj)):
         return True
     if isinstance(alpha, ab.FProj):
         return len(alpha.features) == 1
@@ -556,13 +556,13 @@ def check_commutation(gen, cases=200):
         # match to the abstract set serve every candidate
         def fails(p, rewritten=None):
             if rewritten is None:
-                rewritten = rewrite_family(p, applied)[0]
+                rewritten = rewrite_program(p, applied)
             got = analyze_lifted(rewritten.body, entry).stores
             want = analyze_abstracted(p.body, d_bar).stores
             return any(got[pos] != want[j] for pos, j in enumerate(mapping))
 
         try:
-            rewritten, _ = rewrite_family(program, applied)
+            rewritten = rewrite_program(program, applied)
             k_new = valid_configs(rewritten.feature_model)
             mapping = match_renamed_configs(ab.named_view(applied[0]), k_new)
             entry = LiftedStore(k_new, tuple(map(d_bar.stores.__getitem__, mapping)))
@@ -640,7 +640,7 @@ def check_instance(program, alpha, seed=0, cases=50, lattice=CONST):
     variables = lang.program_vars(program) or [VAR_NAMES[0]]
     sound = PropertyReport("soundness")
     commute = PropertyReport("commutation")
-    rewritten, _ = rewrite_family(program, applied)
+    rewritten = rewrite_program(program, applied)
     k_new = valid_configs(rewritten.feature_model)
     mapping = match_renamed_configs(ab.named_view(meanings), k_new)
     for i in range(cases):

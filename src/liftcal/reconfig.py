@@ -7,7 +7,8 @@ copied.  The rewrite comes from the same application of the abstraction that
 builds its configuration set (abstraction.apply), whose docstring gives the
 rule of each constructor.  rewrite_family takes that (set, rewrite) pair, so
 a caller that applied the abstraction for alpha or the named view reuses it;
-reconfigure enumerates and applies first.  lub(s0, s1) serializes as
+reconfigure enumerates and applies first.  rewrite_program builds the
+program alone, for callers that read no renames.  lub(s0, s1) serializes as
 `if (0) { s0 } else { s1 }`, which the analysis treats identically since
 if-conditions are ignored.
 """
@@ -31,10 +32,17 @@ def rewrite_family(program, applied, simplify=False):
     """Rewrite a program family with `applied`, the (set, rewrite) pair that
     abstraction.apply made of the family's valid configurations.
 
-    Returns the rewritten Program, over the abstract feature space and model,
-    and the rename table mapping each fresh feature to the formula it names
-    over the original feature space.
+    Returns the rewritten Program (rewrite_program) and the rename table
+    mapping each fresh feature to the formula it names over the original
+    feature space.
     """
+    rewritten = rewrite_program(program, applied, simplify)
+    return rewritten, {name: meaning() for name, meaning in applied[0].renames.items()}
+
+
+def rewrite_program(program, applied, simplify=False):
+    """The rewritten Program of rewrite_family, over the abstract feature
+    space and model, without building the renames' formulas."""
     out, rewrite = applied
     body = rewrite(program.body)
     if simplify:
@@ -46,8 +54,7 @@ def rewrite_family(program, applied, simplify=False):
     psi = out.named_hint_of()
     if psi is None:
         psi = disj_all(out.named_formula(i) for i in range(len(out)))
-    new_program = lang.Program(FeatureModel(out.named_space, psi), lang.relabel(body))
-    return new_program, {name: meaning() for name, meaning in out.renames.items()}
+    return lang.Program(FeatureModel(out.named_space, psi), lang.relabel(body))
 
 
 def render_renames(renames):

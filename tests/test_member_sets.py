@@ -69,8 +69,6 @@ def reference_apply(alpha, universe):
         if isinstance(alpha, ab.JoinPhi):
             indices = range(len(members)) if alpha.phi == fx.TRUE else inside(covers, alpha.phi)
             return join(members, covers, indices)
-        if isinstance(alpha, ab.GroupJoin):
-            return join(members, covers, alpha.indices)
         if isinstance(alpha, ab.Proj):
             kept = inside(covers, alpha.phi)
             return [members[i] for i in kept], [covers[i] for i in kept]
@@ -85,10 +83,13 @@ def reference_apply(alpha, universe):
         if isinstance(alpha, ab.FIgnore):
             if alpha.feature not in universe.space:
                 raise SemanticError(f"cannot ignore undeclared feature {alpha.feature}")
-            parts = [ab.GroupJoin(tuple(g)) for g in groups(covers, alpha.feature)]
-            return go(ab.product(parts), members, covers) if parts else ([], [])
-        if isinstance(alpha, ab.FProj):
-            return go(ab._fproj_chain(alpha), members, covers)
+            # one join per group, named in group order
+            joins = [join(members, covers, g) for g in groups(covers, alpha.feature)]
+            return [named[0] for named, _ in joins], [cover[0] for _, cover in joins]
+        if isinstance(alpha, ab.FProj):  # the last feature is ignored first
+            for feature in reversed(alpha.features):
+                members, covers = go(ab.FIgnore(feature), members, covers)
+            return members, covers
         raise TypeError(alpha)
 
     n = len(universe.codes)

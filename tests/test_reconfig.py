@@ -294,3 +294,50 @@ def test_renames_and_model_agree_with_abstract_configs():
             assert rewritten.feature_model == fx.FeatureModel(info.space, psi)
             cases += 1
     assert cases == 400
+
+
+def _holds_nested_ifdef(stmt):
+    return any(isinstance(node, lang.IfDef) and node is not outer
+               for outer in lang.preorder(stmt) if isinstance(outer, lang.IfDef)
+               for node in lang.preorder(outer.body))
+
+
+def test_fignore_rewrites_as_its_expansion_into_joins():
+    # fignore(f) against fignore_expand's product of join(phi)s, one per
+    # group: the same program text, and renames equivalent name by name
+    cases = nested = 0
+    for seed in (3, 4):
+        gen = CaseGen(seed, max_features=4, max_depth=6)
+        for _ in range(100):
+            program = gen_random_program(gen)
+            configs = fx.valid_configs(program.feature_model)
+            if not len(configs):
+                continue
+            nested += _holds_nested_ifdef(program.body)
+            for feature in program.feature_model.space.features:
+                got, got_renames = reconfigure(program, ab.FIgnore(feature))
+                want, want_renames = reconfigure(program, ab.fignore_expand(feature, configs))
+                assert lang.pretty(got) == lang.pretty(want), (lang.pretty(program), feature)
+                assert list(got_renames) == list(want_renames)
+                assert all(fx.equiv(got_renames[name], want_renames[name]) for name in got_renames)
+                cases += 1
+    assert cases > 400 and nested > 20
+
+
+def test_fignore_rewrite_builds_ifdefs_in_proportion_to_its_output(monkeypatch):
+    # fignore(A1) on the 6-feature chain keeps 32 groups; each #if of the
+    # program becomes one #if, and rewriting it builds no #if per group
+    program = chain_program(6)
+    _, rewrite = ab.apply(ab.FIgnore("A1"), fx.valid_configs(program.feature_model))
+    built = []
+    init = lang.IfDef.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lang.IfDef, "__init__", counting_init)
+    out = rewrite(program.body)
+    monkeypatch.undo()
+    assert sum(isinstance(s, lang.IfDef) for s in flat_stmts(out)) == 6
+    assert len(built) <= 2 * 6
