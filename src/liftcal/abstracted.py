@@ -2,9 +2,10 @@
 
 The abstracted analysis is the engine of `lifted` run on stores indexed by
 the components of an abstraction (the meaning view of alpha_apply /
-meaning_configs).  A component's cover is the set of original valid
-configurations it confounds, and a `#if` splits on covers three ways per
-component (see `lifted`): untouched, analyzed, or old joined with analyzed.
+meaning_configs): `analyze_abstracted` is `lifted.analyze_lifted` itself.  A
+component's cover is the set of original valid configurations it confounds,
+and a `#if` splits on covers three ways per component (see `lifted`):
+untouched, analyzed, or old joined with analyzed.
 
 The same transfer functions can be phrased as data-flow equations over
 per-label in/out stores; solve_dataflow computes their least solution, which
@@ -27,17 +28,11 @@ from . import featexp, lang
 from .errors import SemanticError
 from .lattice import Store, combine
 from .lifted import (
-    CASES, UNTOUCHED, analyze, eval_expr, ifdef_cases, merge_ifdef
+    CASES, UNTOUCHED, analyze_lifted, eval_expr, ifdef_cases, merge_ifdef
 )
 
-
-def analyze_abstracted(stmt, store):
-    """The abstracted analysis of a statement on an abstract-indexed store.
-
-    `store.configs` must already be the abstract configuration set (the
-    meaning view produced by alpha_apply / meaning_configs).
-    """
-    return analyze(stmt, store)
+# the engine, on a store indexed by an abstract configuration set
+analyze_abstracted = analyze_lifted
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +69,7 @@ def solve_dataflow(system, entry):
     Returns a mapping label -> (in, out).  The statement tree is walked on
     one explicit stack, recording each label's in and out as it goes: an
     `#if` guards its input and merges its body's out by its case column,
-    `if` and `lub` join their branches, and a while iterates
+    `if` joins its branches, and a while iterates
     x := in join out(body, x) to its least fixpoint, walking its body for
     each x.  These nested least fixpoints are the least solution of the
     whole system (Bekic 1984).  One rule keeps loop nests polynomial: a
@@ -112,8 +107,7 @@ def solve_dataflow(system, entry):
         return store
 
     def branch(stmt, store):
-        left, right = lang.children(stmt)
-        out = (yield left, store).join((yield right, store))
+        out = (yield stmt.then, store).join((yield stmt.orelse, store))
         outs[stmt.label] = out
         return out
 
@@ -135,8 +129,7 @@ def solve_dataflow(system, entry):
         outs[stmt.label] = out
         return out
 
-    rules = {lang.Seq: seq, lang.If: branch, lang.Lub: branch, lang.While: loop,
-             lang.IfDef: ifdef}
+    rules = {lang.Seq: seq, lang.If: branch, lang.While: loop, lang.IfDef: ifdef}
     stack = []
     stmt, store = system.root, entry
     while True:

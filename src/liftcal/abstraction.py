@@ -63,6 +63,9 @@ named space.  It changes only `#if`s, per constructor:
         a body holding an #if         ->  each live group's join rule, classed by body
                                           key as the product rule does
 
+where lub(s', skip) is lang.lub's `if (0) { s' } else { skip }`, whose
+analysis joins s' with skip.
+
 join(phi) and fproj rewrite as the join and the chain of fignores they apply
 as, which keeps the fresh names of the set and the rewrite one sequence.  A
 rewrite builds its state on its first call, so alpha, gamma and
@@ -480,7 +483,7 @@ def _join_walker(mask, selection, name):
             return lang.IfDef(not_z, body)
         if t == selection:
             return lang.IfDef(z, body)
-        return lang.IfDef(z, lang.Lub(body, lang.Skip()))
+        return lang.IfDef(z, lang.lub(body, lang.Skip()))
 
     return walk
 
@@ -509,7 +512,7 @@ def _partition_walker(configs, out, alloc, groups, names):
             for k, analyzed in live:
                 cases.setdefault(analyzed, []).append(guards[k])
             return lang.seq_all(
-                lang.IfDef(disj_all(fired), stmt.body if analyzed else lang.Lub(stmt.body, lang.Skip()))
+                lang.IfDef(disj_all(fired), stmt.body if analyzed else lang.lub(stmt.body, lang.Skip()))
                 for analyzed, fired in cases.items())
         merged = alloc.masker(out)
         classes = {}  # body key -> (body, its groups' guards), by first appearance
@@ -518,7 +521,7 @@ def _partition_walker(configs, out, alloc, groups, names):
                 walkers[k] = _join_walker(mask, selections[k], names[k])
             body = walkers[k](stmt.body)
             if not analyzed:
-                body = lang.Lub(body, lang.Skip())
+                body = lang.lub(body, lang.Skip())
             classes.setdefault(_body_key(body, merged), (body, []))[1].append(guards[k])
         return lang.seq_all(lang.IfDef(disj_all(fired), body) for body, fired in classes.values())
 

@@ -1,4 +1,4 @@
-"""Command-line frontend: analyze, reconfigure, check, bench.
+"""Command-line frontend: analyze, reconfigure, check.
 
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (also input
 nested too deeply to process), 3 property-check failure.
@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import abstraction as ab
 from . import featexp, lang, oracle
-from .abstracted import analyze_abstracted, build_dataflow, solve_dataflow
+from .abstracted import build_dataflow, solve_dataflow
 from .errors import LiftcalError, ParseError, SemanticError
 from .featexp import FeatureModel, FeatureSpace, valid_configs
-from .lattice import LiftedStore, lattice_by_name, render_value
+from .lattice import lattice_by_name, render_value
 from .lifted import analyze_lifted, entry_store
 from .reconfig import reconfigure, render_renames
 
@@ -47,10 +46,6 @@ def _load_program(path):
     return lang.parse_program(text)
 
 
-def _parse_abs(text, space):
-    return ab.parse_abstraction(text, space)
-
-
 def _rows(labels, stores, variables):
     return [
         f"{label}: " + ", ".join(f"{x}={render_value(store.get(x))}" for x in variables)
@@ -76,7 +71,7 @@ def cmd_analyze(args):
     variables = lang.program_vars(program)
     entry = entry_store(configs, lattice, args.init)
     if args.abs:
-        alpha = _parse_abs(args.abs, program.feature_model.space)
+        alpha = ab.parse_abstraction(args.abs, program.feature_model.space)
         entry = ab.alpha_apply(alpha, configs, entry, lattice)
     # every result below is indexed by entry's configuration set: render it once
     labels = [featexp.render(phi, compact=True) for phi in entry.configs.formulas]
@@ -110,10 +105,8 @@ def cmd_analyze(args):
                 for row in _rows(labels, out.stores, variables):
                     print(f"  out {row}")
         return EXIT_OK
-    if args.abs:
-        result = analyze_abstracted(program.body, entry)
-    else:
-        result = analyze_lifted(program.body, entry)
+    # one engine: on an abstract entry (--abs) this is the abstracted analysis
+    result = analyze_lifted(program.body, entry)
     if args.format == "json":
         print(json.dumps(_result_json(labels, result.stores, variables, renames), indent=2))
     else:
@@ -124,7 +117,7 @@ def cmd_analyze(args):
 
 def cmd_reconfigure(args):
     program = _load_program(args.file)
-    alpha = _parse_abs(args.abs, program.feature_model.space)
+    alpha = ab.parse_abstraction(args.abs, program.feature_model.space)
     rewritten, renames = reconfigure(program, alpha, simplify=args.simplify)
     text = lang.pretty(rewritten)
     if args.output:
@@ -148,7 +141,7 @@ def cmd_check(args):
         if not args.abs:
             raise SystemExit2("check on a program file requires --abs")
         program = _load_program(args.file)
-        alpha = _parse_abs(args.abs, program.feature_model.space)
+        alpha = ab.parse_abstraction(args.abs, program.feature_model.space)
         report = oracle.check_instance(
             program, alpha, seed=args.seed, cases=args.cases, lattice=lattice
         )
@@ -162,9 +155,9 @@ def cmd_check(args):
 
 
 def _bench_program(n):
+    """`x := 0; #if (A1) { x := x + 1 }; ...` over n >= 1 free features, the
+    family of the acceptance tests' timing criterion."""
     names = tuple(f"A{i}" for i in range(1, n + 1))
-    space = FeatureSpace(names if names else ("A1",))
-    psi = featexp.TRUE
     stmts = [lang.Assign("x", lang.Num(0))]
     for name in names:
         stmts.append(
@@ -174,47 +167,7 @@ def _bench_program(n):
             )
         )
     body = lang.relabel(lang.seq_all(stmts))
-    if not names:
-        # n = 0: a single configuration over a one-feature space with A1 forced off
-        return lang.Program(FeatureModel(space, featexp.Not(featexp.Atom("A1"))), body)
-    return lang.Program(FeatureModel(space, psi), body)
-
-
-def _time(thunk):
-    start = time.perf_counter()
-    result = thunk()
-    return result, time.perf_counter() - start
-
-
-def cmd_bench(args):
-    if args.features > 20:
-        raise SystemExit2("bench refuses more than 20 features")
-    lattice = lattice_by_name(args.lattice)
-    program = _bench_program(args.features)
-    configs = valid_configs(program.feature_model)
-    entry = LiftedStore.top(configs, lattice)
-    space = program.feature_model.space
-
-    _, lifted_time = _time(lambda: analyze_lifted(program.body, entry))
-
-    # entry stores are prepared outside the timed region on both sides
-    join_alpha = ab.Join()
-    join_entry = ab.alpha_apply(join_alpha, configs, entry, lattice)
-    _, join_time = _time(lambda: analyze_abstracted(program.body, join_entry))
-    half = featexp.Atom(space.features[0])
-    medium_alpha = ab.product((ab.Proj(half), ab.JoinPhi(featexp.Not(half))))
-    medium_entry = ab.alpha_apply(medium_alpha, configs, entry, lattice)
-    _, medium_time = _time(lambda: analyze_abstracted(program.body, medium_entry))
-
-    def ratio(t):
-        return lifted_time / t if t > 0 else float("inf")
-
-    print(f"features: {args.features}  configurations: {len(configs)}")
-    print(f"{'analysis':<22}{'time':>12}{'speedup':>10}")
-    print(f"{'lifted':<22}{lifted_time * 1000:>10.2f}ms{1.0:>10.1f}")
-    print(f"{'abstracted join':<22}{join_time * 1000:>10.2f}ms{ratio(join_time):>10.1f}")
-    print(f"{'abstracted proj|join':<22}{medium_time * 1000:>10.2f}ms{ratio(medium_time):>10.1f}")
-    return EXIT_OK
+    return lang.Program(FeatureModel(FeatureSpace(names), featexp.TRUE), body)
 
 
 def build_parser():
@@ -246,11 +199,6 @@ def build_parser():
     check.add_argument("--lattice", choices=("const", "constplus"), default="const")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(func=cmd_check)
-
-    bench = sub.add_parser("bench", help="time lifted vs abstracted on a synthetic family")
-    bench.add_argument("--features", type=int, required=True)
-    bench.add_argument("--lattice", choices=("const", "constplus"), default="const")
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -9,6 +9,9 @@ Concrete program file format:
 Statements are sequenced with ';' (folded right-associatively), blocks are
 braced, and the expression operators are {+, -, *, <, =} with the usual
 precedence (* tightest, comparisons loosest).  Comparisons yield 1/0.
+
+The analysis ignores `if` conditions, so the join of two analyses,
+lub(s0, s1), is the statement `if (0) { s0 } else { s1 }` (`lub`).
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ class BinOp(Expr):
 # Statements
 #
 # Every statement carries a label; parse_program and relabel assign them in
-# preorder.  Lub is the analysis-join statement; it serializes as an `if`
-# with constant condition 0, which analyzes identically.
+# preorder.
 
 
 class Stmt:
@@ -108,13 +110,6 @@ class IfDef(Stmt):
 
 
 @dataclass(frozen=True)
-class Lub(Stmt):
-    left: Stmt
-    right: Stmt
-    label: int = -1
-
-
-@dataclass(frozen=True)
 class Program:
     feature_model: FeatureModel
     body: Stmt
@@ -129,8 +124,6 @@ def children(stmt):
         return (stmt.body,)
     if isinstance(stmt, IfDef):
         return (stmt.body,)
-    if isinstance(stmt, Lub):
-        return (stmt.left, stmt.right)
     return ()
 
 
@@ -144,8 +137,6 @@ def with_children(stmt, new_children):
         return While(stmt.cond, *new_children, stmt.label)
     if isinstance(stmt, IfDef):
         return IfDef(stmt.cond, *new_children, stmt.label)
-    if isinstance(stmt, Lub):
-        return Lub(*new_children, stmt.label)
     return stmt
 
 
@@ -168,9 +159,6 @@ def preorder(stmt):
         elif kind is If:
             push(node.orelse)
             push(node.then)
-        elif kind is Lub:
-            push(node.right)
-            push(node.left)
     return order
 
 
@@ -201,8 +189,6 @@ def _rebuild(stmt, numbered):
             push(If(node.cond, pop(), pop(), label))
         elif kind is While:
             push(While(node.cond, pop(), label))
-        elif kind is Lub:
-            push(Lub(pop(), pop(), label))
         else:
             raise TypeError(f"not a statement: {node!r}")
     return done[0]
@@ -221,6 +207,11 @@ def labels_of(stmt):
 def strip_labels(stmt):
     """Structural copy with all labels reset, for label-insensitive comparison."""
     return _rebuild(stmt, False)
+
+
+def lub(left, right):
+    """The join of the analyses of left and right, as the `if` it prints."""
+    return If(Num(0), left, right)
 
 
 def seq_all(stmts):
@@ -379,9 +370,6 @@ def pretty_stmt(stmt):
         return f"while ({pretty_expr(stmt.cond)}) {{ {pretty_stmt(stmt.body)} }}"
     if isinstance(stmt, IfDef):
         return f"#if ({featexp.render(stmt.cond)}) {{ {pretty_stmt(stmt.body)} }}"
-    if isinstance(stmt, Lub):
-        # the analysis ignores if-conditions, so this encoding is analysis-exact
-        return f"if (0) {{ {pretty_stmt(stmt.left)} }} else {{ {pretty_stmt(stmt.right)} }}"
     raise TypeError(f"not a statement: {stmt!r}")
 
 

@@ -1,10 +1,12 @@
 """The analysis engine over configuration-indexed stores, and its single-program degenerate.
 
-One engine transforms a tuple of stores, one per component of a configuration
-set, analyzing every component simultaneously.  The lifted analysis runs it
-on the valid configurations, the abstracted analysis on the components an
-abstraction produces.  An `if` (and the derived lub form) joins both branches
-and ignores the condition; a `while` accumulates the iterates of its body:
+One engine, `analyze_lifted`, transforms a tuple of stores, one per component
+of a configuration set, analyzing every component simultaneously.  The lifted
+analysis runs it on the valid configurations, the abstracted analysis
+(`abstracted.analyze_abstracted`, the same function) on the components an
+abstraction produces.  An `if` joins both branches and ignores the
+condition, so it is also lub(s0, s1), the `if (0) { s0 } else { s1 }` of
+`lang.lub`.  A `while` accumulates the iterates of its body:
 
     result = input |_| body(input) |_| body(body(input)) |_| ...
 
@@ -21,7 +23,7 @@ cover with the mask t of the configurations satisfying theta:
     otherwise            -> old joined with analyzed (mixed)
 
 A `#if` that leaves some components untouched and whose body holds an `if`,
-a lub, a `while` or a `#if` runs its body on the subset of the analyzed and
+a `while` or a `#if` runs its body on the subset of the analyzed and
 mixed components only (`ConfigSet.subset`, built once per `#if` and set it
 sees in one analysis); the merge reads the body's result back by position,
 in one pass over the whole set.  A body of assignments and skips runs on
@@ -106,8 +108,8 @@ def merge_ifdef(cases, before, after, column=None):
 
 
 def _compound(stmt):
-    """Whether stmt holds an if, a lub, a while or a #if: all but a sequence
-    of assignments and skips."""
+    """Whether stmt holds an if, a while or a #if: all but a sequence of
+    assignments and skips."""
     work = [stmt]
     while work:
         node = work.pop()
@@ -128,10 +130,8 @@ def _split(stmt, configs):
     return cases, configs.subset(kept), kept
 
 
-def analyze_expr_lifted(expr, store, configs=None):
+def analyze_expr_lifted(expr, store):
     """Per-configuration expression values, as a tuple aligned with the configs."""
-    if configs is not None and store.configs != configs:
-        raise SemanticError("store is not indexed by the given configuration set")
     values = [eval_expr(expr, s) for s in store.table]
     return tuple(map(values.__getitem__, store.index))
 
@@ -146,8 +146,6 @@ def analyze_single(stmt, store):
         return analyze_single(stmt.second, analyze_single(stmt.first, store))
     if isinstance(stmt, lang.If):
         return analyze_single(stmt.then, store).join(analyze_single(stmt.orelse, store))
-    if isinstance(stmt, lang.Lub):
-        return analyze_single(stmt.left, store).join(analyze_single(stmt.right, store))
     if isinstance(stmt, lang.While):
         return kleene_accumulate(lambda s: analyze_single(stmt.body, s), store)
     if isinstance(stmt, lang.IfDef):
@@ -155,8 +153,8 @@ def analyze_single(stmt, store):
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def analyze(stmt, store):
-    """The engine: analyze stmt on every component of a lifted store at once."""
+def analyze_lifted(stmt, store):
+    """The engine: analyze stmt on every component of the store's set at once."""
     # (id of an #if, id of the set it sees) -> its split, so a loop does not
     # recompute it per Kleene iteration; one statement object may sit under
     # two #ifs that restrict it to different subsets
@@ -168,11 +166,12 @@ def analyze(stmt, store):
         if isinstance(stmt, lang.Assign):
             return store.map(lambda s: s.set(stmt.var, eval_expr(stmt.expr, s)))
         if isinstance(stmt, lang.Seq):
-            return run(stmt.second, run(stmt.first, store))
+            while type(stmt) is lang.Seq:  # a right-nested chain walks as one loop
+                store = run(stmt.first, store)
+                stmt = stmt.second
+            return run(stmt, store)
         if isinstance(stmt, lang.If):
             return run(stmt.then, store).join(run(stmt.orelse, store))
-        if isinstance(stmt, lang.Lub):
-            return run(stmt.left, store).join(run(stmt.right, store))
         if isinstance(stmt, lang.While):
             return kleene_accumulate(lambda s: run(stmt.body, s), store)
         if isinstance(stmt, lang.IfDef):
@@ -195,13 +194,6 @@ def analyze(stmt, store):
         raise TypeError(f"not a statement: {stmt!r}")
 
     return run(stmt, store)
-
-
-def analyze_lifted(stmt, store, configs=None):
-    """The lifted analysis over all configurations of the store at once."""
-    if configs is not None and store.configs != configs:
-        raise SemanticError("store is not indexed by the given configuration set")
-    return analyze(stmt, store)
 
 
 def entry_store(configs, lattice, init="top"):

@@ -8,9 +8,9 @@ builds its configuration set (abstraction.apply), whose docstring gives the
 rule of each constructor.  rewrite_family takes that (set, rewrite) pair, so
 a caller that applied the abstraction for alpha or the named view reuses it;
 reconfigure enumerates and applies first.  rewrite_program builds the
-program alone, for callers that read no renames.  lub(s0, s1) serializes as
-`if (0) { s0 } else { s1 }`, which the analysis treats identically since
-if-conditions are ignored.
+program alone, for callers that read no renames.  The rules' lub(s', skip)
+is the statement `if (0) { s' } else { skip }` (lang.lub): the analysis
+ignores if-conditions, so it joins s' with skip.
 """
 
 from __future__ import annotations

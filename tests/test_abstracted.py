@@ -347,21 +347,30 @@ def while_nest(depth, kinds="w"):
     return nest
 
 
+def test_abstracted_analysis_is_the_lifted_engine():
+    assert liftcal.abstracted.analyze_abstracted is analyze_lifted
+
+
 def test_solver_needs_no_recursion_per_statement():
     space = fx.FeatureSpace(("A", "B"))
     configs = fx.valid_configs(fx.FeatureModel(space, fx.TRUE))
     entry = LiftedStore.top(configs, CONST)
     chain = lang.relabel(lang.seq_all([lang.Assign("x", lang.Num(0))] + [increment("x")] * 20_000))
     nest = lang.relabel(lang.Seq(lang.Assign("x", lang.Num(0)), while_nest(1_000, "w#")))
+    joined = ab.alpha_apply(ab.Join(), configs, entry, CONST)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         chain_solution = solve_dataflow(build_dataflow(chain, configs, CONST), entry)
         nest_solution = solve_dataflow(build_dataflow(nest, configs, CONST), entry)
+        chain_lifted = analyze_lifted(chain, entry)
+        chain_joined = analyze_abstracted(chain, joined)
     finally:
         sys.setrecursionlimit(limit)
     assert len(chain_solution) == 40_001
     assert values(chain_solution[0][1]) == [intval(20_000)] * 4
+    assert chain_lifted == chain_solution[0][1]
+    assert values(chain_joined) == [intval(20_000)]
     assert len(nest_solution) == 3_003
     assert values(nest_solution[0][1]) == [TOP, TOP, intval(0), intval(0)]  # the outer #if (A)
     loop = nest.second.body.first  # the outermost while

@@ -70,7 +70,7 @@ def test_relabel_numbers_every_statement_kind_in_preorder():
         "#if (A) { if (x) { skip } else { y := 1 } } }; skip end"
     )
     body = lang.parse_program(text).body
-    mixed = lang.relabel(lang.Lub(body, lang.Seq(lang.Skip(label=9), body, label=4)))
+    mixed = lang.relabel(lang.lub(body, lang.Seq(lang.Skip(label=9), body, label=4)))
     labels = labels_in_preorder(mixed)
     assert labels == list(range(len(labels)))
     assert list(lang.labels_of(mixed)) == labels
@@ -104,7 +104,8 @@ def test_pretty_parse_round_trip(s1):
 
 
 def test_lub_prints_as_constant_if():
-    lub = lang.Lub(lang.Assign("x", lang.Num(1)), lang.Skip())
+    lub = lang.lub(lang.Assign("x", lang.Num(1)), lang.Skip())
+    assert lub == lang.If(lang.Num(0), lang.Assign("x", lang.Num(1)), lang.Skip())
     assert lang.pretty_stmt(lub) == "if (0) { x := 1 } else { skip }"
     assert lang.pretty_stmt(lang.Skip()) == "skip"
 

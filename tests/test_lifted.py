@@ -87,11 +87,11 @@ def test_analyze_single_rejects_ifdef(s1):
 
 def test_lub_analyzes_like_if(configs, top_store):
     assign = lang.Assign("x", lang.Num(1))
-    lub = lang.relabel(lang.Lub(assign, assign))
+    lub = lang.relabel(lang.lub(assign, assign))
     out = analyze_lifted(lub, top_store)
     other = analyze_lifted(lang.relabel(assign), top_store)
     assert out == other
-    identity = analyze_lifted(lang.relabel(lang.Lub(lang.Skip(), lang.Skip())), top_store)
+    identity = analyze_lifted(lang.relabel(lang.lub(lang.Skip(), lang.Skip())), top_store)
     assert identity == top_store
 
 

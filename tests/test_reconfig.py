@@ -35,16 +35,6 @@ def test_fresh_feature():
     assert [alloc.fresh() for _ in range(3)] == ["Z1", "Z3", "Z5"]
 
 
-def test_make_lub_serialization(top_store):
-    lub = lang.Lub(lang.Assign("x", lang.Num(1)), lang.Skip())
-    assert lang.pretty_stmt(lub) == "if (0) { x := 1 } else { skip }"
-    stmt = lang.Assign("x", lang.Num(2))
-    both = lang.relabel(lang.Lub(stmt, stmt))
-    assert analyze_lifted(both, top_store) == analyze_lifted(lang.relabel(stmt), top_store)
-    identity = lang.relabel(lang.Lub(lang.Skip(), lang.Skip()))
-    assert analyze_lifted(identity, top_store) == top_store
-
-
 def test_join_proj_rewrite_golden(s1_prime, space):
     alpha = ab.parse_abstraction("proj(A) >> join", space)
     rewritten, renames = reconfigure(s1_prime, alpha)
