@@ -1,13 +1,16 @@
 """Command-line frontend: analyze, reconfigure, check.
 
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (also input
-nested too deeply to process), 3 property-check failure.
+nested too deeply to process, or a check worker that ended without a
+result), 3 property-check failure, 141 the reader of standard output closed
+it early (as a shell reports a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import abstraction as ab
@@ -23,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SEMANTIC = 2
 EXIT_PROPERTY = 3
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,7 +211,16 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE": whatever output is still buffered goes
+        # to devnull, so flushing it at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except SystemExit2 as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_USAGE

@@ -360,7 +360,12 @@ def pretty_stmt(stmt):
     if isinstance(stmt, Assign):
         return f"{stmt.var} := {pretty_expr(stmt.expr)}"
     if isinstance(stmt, Seq):
-        return f"{pretty_stmt(stmt.first)}; {pretty_stmt(stmt.second)}"
+        pieces = []
+        while type(stmt) is Seq:  # a right-nested chain prints as one loop
+            pieces.append(pretty_stmt(stmt.first))
+            stmt = stmt.second
+        pieces.append(pretty_stmt(stmt))
+        return "; ".join(pieces)
     if isinstance(stmt, If):
         return (
             f"if ({pretty_expr(stmt.cond)}) {{ {pretty_stmt(stmt.then)} }}"

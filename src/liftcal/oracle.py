@@ -13,12 +13,18 @@ stream and tests one theorem-shaped property:
 
 A failing case is shrunk by replacing statement subtrees with skip while the
 failure persists, and reported with its seed index so it replays exactly.
+
+check_all runs the seven properties on up to min(7, usable CPUs) processes,
+forking one child per share beyond the first; its report does not depend on
+how many it used. A process with a second live thread runs them all in-process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 
 from . import abstraction as ab
@@ -615,12 +621,100 @@ CHECKS = {
 
 
 def check_all(seed, cases=200, lattice=CONST):
-    """Run every property; each property gets its own deterministic stream."""
-    properties = []
-    for offset, (name, check) in enumerate(CHECKS.items()):
-        gen = CaseGen(seed + offset, lattice=lattice)
-        properties.append(check(gen, cases))
-    return Report(properties)
+    """Run every property; each property gets its own deterministic stream.
+
+    Property k of CHECKS is seeded seed + k and runs in share k mod W, where
+    W is min(len(CHECKS), usable CPUs). Share 0 runs in this process and each
+    other share in one forked child, which pipes its reports back pickled.
+    Without os.fork, or with a second live thread (forking a threaded process
+    can deadlock), W is 1 and every property runs here. The report is the
+    same for every W: an exception is re-raised from the lowest offset that
+    raised, and a child that ends without a result raises SemanticError.
+    Every child is reaped, and killed first on the way out of an error,
+    before the call returns or raises.
+    """
+    checks = list(CHECKS.items())  # read per call, so entries a caller wraps run
+    workers = _workers(len(checks))
+    shares = [range(w, len(checks), workers) for w in range(workers)]
+
+    def run(share):
+        """(offset, report) per property of share, then the (offset,
+        exception) that stopped it, or None."""
+        done = []
+        for k in share:
+            try:
+                done.append((k, checks[k][1](CaseGen(seed + k, lattice=lattice), cases)))
+            except Exception as exc:
+                return done, (k, exc)
+        return done, None
+
+    children = []  # (pid, read end of its pipe, share)
+    try:
+        for share in shares[1:]:
+            children.append((*_fork(run, share), share))
+        outcomes = [run(shares[0])]
+        for _, pipe, share in children:
+            outcomes.append(_collect(pipe, [checks[k][0] for k in share]))
+    except BaseException:
+        import signal
+
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    raised = [stop for _, stop in outcomes if stop is not None]
+    if raised:
+        raise min(raised, key=lambda stop: stop[0])[1]
+    reports = sorted(pair for done, _ in outcomes for pair in done)
+    return Report([report for _, report in reports])
+
+
+def _workers(count):
+    """How many shares check_all runs its count properties in."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return max(1, min(count, usable))
+
+
+def _fork(run, share):
+    """Start one child running share; its pid and the read end of its pipe."""
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:  # the child: whatever happens, it never returns into the caller
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(run(share)))
+    finally:
+        os._exit(0)
+
+
+def _collect(pipe, names):
+    """A child's outcome, read to the end of its pipe."""
+    import pickle
+
+    try:
+        return pickle.loads(pipe.read())
+    except (EOFError, pickle.UnpicklingError):  # no result, or one cut short
+        raise SemanticError(
+            f"the worker for {', '.join(names)} ended without a result"
+        ) from None
 
 
 def check_instance(program, alpha, seed=0, cases=50, lattice=CONST):

@@ -1,5 +1,7 @@
 """The liftcal command-line interface."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from liftcal import cli, lang
 from liftcal import featexp as fx
 from liftcal.lattice import CONST_PLUS, parse_value
 
-from conftest import S1_SOURCE, S2_SOURCE
+from conftest import CHAIN_SOURCE, S1_SOURCE, S2_SOURCE
 
 
 @pytest.fixture
@@ -357,12 +359,16 @@ def test_join_of_wide_projection_product_renders(capsys, tmp_path):
     assert err.startswith("Z1 = ") and len(err.splitlines()) == 1
 
 
-def run_module(*argv):
+def module_env():
     src = os.path.dirname(os.path.dirname(liftcal.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "liftcal", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "liftcal", *argv], capture_output=True, text=True,
+        env=module_env(),
     )
 
 
@@ -373,3 +379,46 @@ def test_python_m_liftcal_runs_the_cli():
     unknown = run_module("frobnicate")
     assert unknown.returncode == cli.EXIT_USAGE
     assert "error:" in unknown.stderr
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_quietly(monkeypatch, capsys, s1_file):
+    read, write = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(write))
+        assert cli.main(["analyze", s1_file]) == cli.EXIT_PIPE
+        # the descriptor now writes to devnull, so a flush at exit raises nothing
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    finally:
+        os.close(read)
+        os.close(write)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_gives_no_traceback(tmp_path):
+    # 2,048 rows overflow the pipe's buffer, so the reader's close is seen
+    path = tmp_path / "chain.imp"
+    path.write_text(CHAIN_SOURCE)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liftcal", "analyze", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(60) == cli.EXIT_PIPE
+    assert first.endswith(b": x=11\n")
+    assert err == b""

@@ -1,5 +1,7 @@
 """Program parsing, labeling, pretty-printing, and variant derivation."""
 
+import sys
+
 import pytest
 
 from liftcal import featexp as fx
@@ -94,6 +96,28 @@ def test_long_chain_parses_with_dense_preorder_labels():
     assert isinstance(node, lang.Assign) and node.label == 2 * n - 2
     assert len(lang.labels_of(body)) == 2 * n - 1
     assert lang.strip_labels(body).second.first.label == -1
+
+
+def test_long_chain_pretty_prints_at_the_default_recursion_limit():
+    # pretty_stmt walks a chain's spine in a loop: only nesting recurses
+    pieces = [
+        lang.Assign("x", lang.Num(1)),
+        lang.IfDef(fx.Atom("A"), lang.Seq(lang.Skip(), lang.Assign("y", lang.Var("x")))),
+        lang.While(lang.Var("y"), lang.Assign("y", lang.Num(0))),
+    ]
+    body = lang.relabel(lang.seq_all(pieces[i % 3] for i in range(20_000)))
+    program = lang.Program(fx.FeatureModel(fx.FeatureSpace(("A",)), fx.TRUE), body)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        reparsed = lang.parse_program(lang.pretty(program))
+        want, got = (lang.preorder(lang.strip_labels(p.body)) for p in (program, reparsed))
+    finally:
+        sys.setrecursionlimit(limit)
+    # node by node: == on the whole chain would itself recurse once per link
+    assert len(got) == len(want) == 2 * 20_000 - 1 + 3 * 6_667 + 6_666
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and (type(a) is lang.Seq or a == b)
 
 
 def test_pretty_parse_round_trip(s1):

@@ -1,10 +1,17 @@
 """The property-check drivers: generators, shrinking, reports, negative controls."""
 
+import os
+import threading
+import time
+
+import pytest
+
 from liftcal import abstraction as ab
 from liftcal import featexp as fx
 from liftcal import lang
-from liftcal import oracle
-from liftcal.lattice import CONST, LiftedStore, Store, intval
+from liftcal import cli, oracle
+from liftcal.errors import SemanticError
+from liftcal.lattice import CONST, CONST_PLUS, LiftedStore, Store, intval
 from liftcal.oracle import CaseGen
 
 
@@ -203,3 +210,151 @@ def test_brute_force_answers_on_a_long_conjunctive_model():
     configs = fx.valid_configs(program.feature_model)
     brute = oracle.brute_force_lifted(program, LiftedStore.top(configs, CONST))
     assert [s.get("x") for s in brute.stores] == [intval(1), intval(0)]
+
+
+# ---------------------------------------------------------------------------
+# check_all's workers
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make check_all see `cpus` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def counted_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def reports_by_cpus(monkeypatch, seed, cases, lattice):
+    """check_all's text and JSON on one, two and seven CPUs and on this
+    host's usable CPUs, with the forks each run made."""
+    out = []
+    for cpus in (1, 2, 7, None):
+        with monkeypatch.context() as m:
+            if cpus is not None:
+                usable_cpus(m, cpus)
+            forks = counted_forks(m)
+            report = oracle.check_all(seed, cases=cases, lattice=lattice)
+        out.append(((report.to_json(), report.render_text()), len(forks)))
+    return out
+
+
+@pytest.mark.parametrize("lattice", [CONST, CONST_PLUS], ids=["const", "constplus"])
+def test_workers_give_byte_identical_reports(monkeypatch, lattice):
+    for seed in (3, 42):
+        (alone, none), (two, one), (seven, six), (host, forked) = reports_by_cpus(
+            monkeypatch, seed, 25, lattice
+        )
+        assert (none, one, six) == (0, 1, 6)
+        assert forked == oracle._workers(len(oracle.CHECKS)) - 1
+        assert alone == two == seven == host
+        assert '"passed": true' in alone[0]
+
+
+def test_workers_give_byte_identical_failure_reports(monkeypatch):
+    # a broken engine: the properties that run it fail in every share, and
+    # each failure is shrunk where it ran
+    broken = Store.of(CONST, {"_": intval(7)})
+    monkeypatch.setattr(oracle, "analyze_lifted", lambda body, entry: entry.map(lambda _: broken))
+    (alone, _), (two, _), (seven, _), (host, _) = reports_by_cpus(monkeypatch, 5, 10, CONST)
+    assert alone == two == seven == host
+    failed = [line.split(":")[0] for line in alone[1].splitlines() if "FAIL" in line]
+    # on two CPUs the last two run in the child
+    assert failed == ["oracle-equivalence", "soundness", "commutation", "PROPERTY FAILURES"]
+    assert "commutation[9]: commutation broken: " in alone[1]
+
+
+def test_exception_in_a_child_is_raised_and_no_child_is_left(monkeypatch):
+    forks = counted_forks(monkeypatch)
+
+    def broken(gen, cases):
+        raise ValueError(f"broken property on seed {gen.seed}")
+
+    def later(gen, cases):
+        raise TypeError("raised at a later offset")
+
+    names = list(oracle.CHECKS)
+    monkeypatch.setitem(oracle.CHECKS, names[3], broken)
+    monkeypatch.setitem(oracle.CHECKS, names[4], later)
+    # the lowest offset that raised wins, as on one CPU: on two, offset 3
+    # raises in the child and offset 4 here
+    for cpus, forked in ((1, 0), (2, 1)):
+        usable_cpus(monkeypatch, cpus)
+        forks.clear()
+        with pytest.raises(ValueError, match="^broken property on seed 4$"):
+            oracle.check_all(1, cases=5)
+        assert len(forks) == forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_without_a_result_is_a_semantic_error(monkeypatch, capsys):
+    usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def dies(gen, cases):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("ran in the parent")
+
+    monkeypatch.setitem(oracle.CHECKS, list(oracle.CHECKS)[1], dies)
+    assert cli.main(["check", "--cases", "3"]) == cli.EXIT_SEMANTIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the worker for galois-laws, soundness, commutation ended without a result\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_running_children_are_killed_when_check_all_unwinds(monkeypatch):
+    # on three CPUs share 1 ends without a result while share 2 still runs:
+    # the error comes at once, and the running child is killed and reaped
+    usable_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def dies(gen, cases):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    def sleeps(gen, cases):
+        time.sleep(60)
+
+    names = list(oracle.CHECKS)
+    monkeypatch.setitem(oracle.CHECKS, names[1], dies)
+    monkeypatch.setitem(oracle.CHECKS, names[2], sleeps)
+    start = time.monotonic()
+    with pytest.raises(SemanticError, match="worker for galois-laws, monotonicity ended"):
+        oracle.check_all(1, cases=1)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_nothing_forks_on_one_cpu_beside_a_thread_or_without_fork(monkeypatch):
+    want = oracle.check_all(8, cases=5).to_json()
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="forked"):  # the patch is live
+        oracle.check_all(8, cases=5)
+    usable_cpus(monkeypatch, 1)
+    assert oracle.check_all(8, cases=5).to_json() == want
+    usable_cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert oracle.check_all(8, cases=5).to_json() == want
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert oracle.check_all(8, cases=5).to_json() == want
