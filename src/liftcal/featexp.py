@@ -261,7 +261,7 @@ def sat(phi, space=None):
         for name in features_of(phi):
             if name not in space:
                 raise UndeclaredFeature(name)
-    return _search(*_residuals_of(phi))
+    return _decide(phi)[0] != _FALSE
 
 
 def valid(phi, space=None):
@@ -274,11 +274,9 @@ def entails(phi, theta):
 
 
 def equiv(phi1, phi2):
-    """Logical equivalence: one root in a residual DAG, or no model of the xor."""
-    dag, a, b = _residuals_of(phi1, phi2)
-    not_a, not_b = dag.make("not", a, a), dag.make("not", b, b)
-    xor = dag.make("or", dag.make("and", a, not_b), dag.make("and", not_a, b))
-    return a == b or not _search(dag, xor)
+    """Logical equivalence: one node in a decision diagram."""
+    a, b = _decide(phi1, phi2)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +645,127 @@ def _search(dag, root):
     return False
 
 
+_LEAF = 1 << 62  # the level of the constants, past every feature
+
+
+class _Diagram:
+    """A reduced ordered binary decision diagram (Bryant 1986), features
+    ordered by index.
+
+    Node k is nodes[k] = (var, hi, lo): it tests feature var and leads to hi
+    if it is true, to lo if false; nodes 0 and 1 are false and true.  A
+    unique table keeps one node per triple and none has hi == lo, so formulas
+    are equivalent iff they build the same node.  `apply` and `negate` are
+    memoized and run on explicit stacks.  Making more than _ENUM_BUDGET nodes
+    raises SemanticError(message).
+    """
+
+    def __init__(self, message):
+        self.nodes = [(_LEAF, _FALSE, _FALSE), (_LEAF, _TRUE, _TRUE)]
+        self.unique = {}
+        self.memo = ({}, {})  # per apply op: (a, b) -> node
+        self.negations = {}
+        self.message = message
+        self.limit = _ENUM_BUDGET
+
+    def node(self, v, hi, lo):
+        if hi == lo:
+            return hi
+        key = (v, hi, lo)
+        k = self.unique.get(key)
+        if k is None:
+            k = self.unique[key] = len(self.nodes)
+            if k > self.limit:
+                raise SemanticError(self.message)
+            self.nodes.append(key)
+        return k
+
+    def apply(self, op, a, b):
+        """a & b if op is _FALSE, a | b if op is _TRUE: the constant that absorbs."""
+        nodes, unique, memo = self.nodes, self.unique, self.memo[op]
+        made, work = [], [(a, b)]
+        while work:
+            a, b = work.pop()
+            if a < 0:  # the results of (~a, b)'s hi and lo pairs are on top of `made`
+                a = ~a
+                lo, hi = made.pop(), made.pop()
+                v = min(nodes[a][0], nodes[b][0])
+                k = memo[a, b] = hi if hi == lo else unique.get((v, hi, lo)) or self.node(v, hi, lo)
+                made.append(k)
+                continue
+            if a > b:
+                a, b = b, a
+            if a <= _TRUE:  # and drops true, or drops false
+                made.append(op if a == op else b)
+            elif a == b:
+                made.append(a)
+            elif (a, b) in memo:
+                made.append(memo[a, b])
+            else:
+                va, a1, a0 = nodes[a]
+                vb, b1, b0 = nodes[b]
+                if va < vb:
+                    b1 = b0 = b
+                elif vb < va:
+                    a1 = a0 = a
+                work += ((~a, b), (a0, b0), (a1, b1))
+        return made[0]
+
+    def negate(self, a):
+        nodes, memo = self.nodes, self.negations
+        made, work = [], [a]
+        while work:
+            a = work.pop()
+            if a < 0:
+                a = ~a
+                lo, hi = made.pop(), made.pop()
+                k = memo[a] = self.node(nodes[a][0], hi, lo)
+                memo[k] = a
+                made.append(k)
+            elif a <= _TRUE:
+                made.append(_TRUE - a)
+            elif a in memo:
+                made.append(memo[a])
+            else:
+                _, hi, lo = nodes[a]
+                work += (~a, lo, hi)
+        return made[0]
+
+    def build(self, phi, index):
+        """The node of phi, feature names numbered by index (extended on first
+        sight); connectives applied in post-order, Implies as !a | b."""
+        made, work = [], [phi]
+        while work:
+            item = work.pop()
+            kind = type(item)
+            if kind is str:  # a connective whose operands are on top of `made`
+                b = made.pop()
+                if item == "not":
+                    made.append(self.negate(b))
+                    continue
+                a = made.pop()
+                if item == "implies":
+                    item, a = "or", self.negate(a)
+                made.append(self.apply(_TRUE if item == "or" else _FALSE, a, b))
+            elif kind is Atom:
+                made.append(self.node(index.setdefault(item.name, len(index)), _TRUE, _FALSE))
+            elif kind is Not:
+                work += ("not", item.arg)
+            elif kind in _BINARY:
+                work += (_BINARY[kind], item.right, item.left)
+            elif kind is TrueExp or kind is FalseExp:
+                made.append(_TRUE if kind is TrueExp else _FALSE)
+            else:
+                raise TypeError(f"not a feature expression: {item!r}")
+        return made[0]
+
+
+def _decide(*phis):
+    """The formulas' nodes in one diagram, features in first-occurrence order."""
+    dag, index = _Diagram("satisfiability search exceeded its budget"), {}
+    return [dag.build(phi, index) for phi in phis]
+
+
 def valid_configs(fm):
     """All satisfying valuations of the feature model, in canonical order.
 
@@ -667,13 +786,14 @@ def valid_configs(fm):
     """
     space = fm.space
     n = len(space)
-    dag = _Residuals(n)
+    dag = _Diagram("configuration enumeration exceeded its budget")
     root = dag.build(fm.psi, {name: i for i, name in enumerate(space.features)})
-    least, memo = dag.least, dag.cofactors
-    blocks = []  # one descending range of codes per true residual
+    nodes = dag.nodes
+    blocks = []  # one descending range of codes per path to true
     runs = [[] for _ in range(n)]  # per feature, (start, bytes) of the configurations enabling it
     size = 0
-    budget = _ENUM_BUDGET - 1  # the root's step; a node pays for its children's
+    # the nodes made and the root's step; a step pays for its children's
+    budget = _ENUM_BUDGET - len(nodes) + 1
     # (depth, node, code of the prefix); node -1 ends the subtree in which
     # feature `depth` is true, and holds the position it began at as its code
     stack = [(0, root, 0)] if root != _FALSE else []
@@ -696,11 +816,13 @@ def valid_configs(fm):
                 runs[i + d].append((size, (b"\1" * h + bytes(h)) * (1 << d)))
             size += width
             continue
-        hi, lo = (node, node) if least[node] > i else memo.get(node) or dag.cofactor(node)
-        if lo != _FALSE:
-            stack.append((i + 1, lo, code << 1))
-        if hi != _FALSE:
-            stack.append((i + 1, hi, code << 1 | 1))
+        v, one, zero = nodes[node]
+        if v != i:  # feature i is free here
+            one = zero = node
+        if zero != _FALSE:
+            stack.append((i + 1, zero, code << 1))
+        if one != _FALSE:
+            stack.append((i + 1, one, code << 1 | 1))
     masks = []
     for pieces in runs:
         column = bytearray(size)

@@ -499,6 +499,54 @@ def test_bit_sliced_sets_equal_the_config_path():
         assert expected == ("error", "configuration enumeration exceeded its budget")
 
 
+def diagram_models():
+    """sliced_models, equality_models and seeded random formulas over up to
+    eight features (Implies, true, false and forced-unsatisfiable ones)."""
+    yield from sliced_models(27)
+    yield from (fm for _, fm in equality_models())
+    rng = random.Random(27)
+    names = tuple(f"F{i}" for i in range(8))
+    for _ in range(200):
+        space = fx.FeatureSpace(names[: rng.randint(1, 8)])
+        phi = random_formula(rng, space.features, rng.randint(1, 7))
+        yield fx.FeatureModel(space, fx.And(phi, fx.Not(phi)) if rng.random() < 0.1 else phi)
+
+
+def residual_sat(phi):
+    return fx._search(*fx._residuals_of(phi))
+
+
+def test_the_decision_diagram_equals_the_reference():
+    rng = random.Random(3)
+    seen = {"unsatisfiable": 0, "implies": 0, "true": 0, "false": 0, "equivalent": 0}
+    for fm in diagram_models():
+        names, phi = fm.space.features, fm.psi
+        valuations, masks, covers = reference_valid_configs(fm)
+        configs = fx.valid_configs(fm)
+        codes = tuple(sum(1 << len(names) - 1 - k for k, on in enumerate(c.values) if on)
+                      for c in valuations)
+        assert configs.universe.codes == codes, fx.render(phi)
+        assert {name: configs.universe.feature_mask(name) for name in names} == masks
+        assert configs.covers == covers
+        assert configs.hint is phi
+        theta = random_formula(rng, names, 3) if names else fx.TRUE
+        absorbed = fx.Or(phi, fx.And(phi, theta))  # equivalent to phi
+        assert fx.sat(phi) == residual_sat(phi) == bool(valuations), fx.render(phi)
+        assert fx.valid(phi) == (not residual_sat(fx.Not(phi)))
+        for left, right in ((phi, theta), (theta, phi), (phi, absorbed)):
+            entails = not residual_sat(fx.And(left, fx.Not(right)))
+            assert fx.entails(left, right) == entails, (fx.render(left), fx.render(right))
+            equiv = entails and not residual_sat(fx.And(right, fx.Not(left)))
+            assert fx.equiv(left, right) == equiv, (fx.render(left), fx.render(right))
+        text = fx.render(phi)
+        seen["unsatisfiable"] += not valuations
+        seen["implies"] += "=>" in text
+        seen["true"] += "true" in text
+        seen["false"] += "false" in text
+        seen["equivalent"] += fx.equiv(phi, theta)
+    assert min(seen.values()) > 0, seen
+
+
 def test_ifdef_cases_on_concrete_sets_equal_the_per_cover_split():
     from liftcal.lifted import ANALYZED, MIXED, UNTOUCHED, ifdef_cases
 
