@@ -10,12 +10,12 @@ formulas are built only when read.  One ConfigSet type carries both views an
 abstraction has of its output: by meaning over the original features and by
 name over the abstract ones.
 
-valid_configs lists a model's valid configurations in canonical order by
-residual enumeration, a top-down BDD construction (Bryant 1986): the model
-becomes a hash-consed DAG once, each step takes a memoized cofactor on the
-next feature, and _ENUM_BUDGET bounds the steps and configurations.  sat,
-entails and equiv search a formula's residuals for a path to true; equiv
-first compares the two formulas' roots in one DAG.
+valid_configs lists a model's valid configurations in canonical order off
+its reduced ordered decision diagram (Bryant 1986), built once with the
+features in declaration order; _ENUM_BUDGET bounds the diagram's nodes, the
+steps and the configurations.  sat, entails and equiv build their formulas
+into one diagram: a formula is satisfiable iff its node is not false, and two
+are equivalent iff they are one node.
 """
 
 from __future__ import annotations
@@ -153,21 +153,17 @@ def literal_conjunction(on, space):
 
 def features_of(phi):
     """Feature names occurring in phi, in first-occurrence order."""
-    out = []
-    seen = set()
-    stack = [phi]
+    seen, stack = {}, [phi]  # a dict keeps its keys in insertion order
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            if node.name not in seen:
-                seen.add(node.name)
-                out.append(node.name)
-        elif isinstance(node, Not):
+        kind = type(node)
+        if kind is Atom:
+            seen.setdefault(node.name)
+        elif kind is Not:
             stack.append(node.arg)
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+        elif kind in _BINARY:
+            stack += (node.right, node.left)
+    return list(seen)
 
 
 def eval_featexp(phi, assignment):
@@ -258,9 +254,7 @@ def render(phi, compact=False):
 def sat(phi, space=None):
     """True iff some total valuation satisfies phi."""
     if space is not None:
-        for name in features_of(phi):
-            if name not in space:
-                raise UndeclaredFeature(name)
+        FeatureModel(space, phi)  # raises UndeclaredFeature
     return _decide(phi)[0] != _FALSE
 
 
@@ -470,17 +464,21 @@ class ConfigSet:
         """phi over the named space -> the mask of the members whose named
         valuation satisfies phi (other features false), memoized per phi object.
         A feature's mask reads the universe's: as it stands on a universe's whole
-        set, else its bit for an int member; join members enable their names.
+        set, else its bit for an int member; join members enable their names,
+        read off one name -> members table.
         """
         universe, members = self.universe, self.members
         masks = dict(universe._feature_masks) if members == range(len(universe.codes)) else {}
         memo, full = {}, (1 << len(members)) - 1
+        joined = {}  # name -> the mask of the join members enabling it
+        for i, _ in self.joins:
+            for name in members[i]:
+                joined[name] = joined.get(name, 0) | 1 << i
 
         def feature_mask(name):
             if name not in masks:
-                on = self.bits_of(universe._feature_masks.get(name, 0),
-                                  lambda i, cover: name in members[i])
-                masks[name] = mask_from_bits(on)
+                own = universe._feature_masks.get(name, 0)
+                masks[name] = joined.get(name, 0) | (own and mask_from_bits(self.bits_of(own)))
             return masks[name]
 
         def mask(phi):  # by identity, keeping phi alive: deep guards hash slowly
@@ -527,124 +525,6 @@ class FeatureModel:
 
 _ENUM_BUDGET = 1 << 21
 _FALSE, _TRUE = 0, 1  # the node ids of the constants
-
-
-class _Residuals:
-    """A hash-consed formula DAG over features 0..n-1, with memoized cofactors.
-
-    Node k is nodes[k]: ("var", i, i), ("not", a, a) or ("and" | "or", a, b)
-    over child ids, and 0 and 1 are false and true.  `make` folds constants,
-    equal operands and a node met with its own negation, and looks nodes up
-    in a unique table, so residuals that simplify alike are one node.
-    least[k] is the least feature index node k mentions (n for a constant):
-    a residual over features i.. mentions i iff its least is i.
-    """
-
-    def __init__(self, n):
-        self.nodes = [("false", 0, 0), ("true", 1, 1)] + [("var", i, i) for i in range(n)]
-        self.least = [n, n, *range(n)]
-        self.unique = {}
-        self.negations = {}  # node -> the node of its negation
-        # node -> (node[x := true], node[x := false]), x the least feature it mentions
-        self.cofactors = {2 + i: (_TRUE, _FALSE) for i in range(n)}
-
-    def make(self, op, a, b):
-        if op == "not":
-            if a <= _TRUE:
-                return _TRUE - a
-        else:
-            unit = _TRUE if op == "and" else _FALSE
-            if _TRUE - unit in (a, b):
-                return _TRUE - unit
-            if a == unit or a == b:
-                return b
-            if b == unit:
-                return a
-            a, b = min(a, b), max(a, b)
-            if self.negations.get(a) == b:  # a negation is made after its operand
-                return _TRUE - unit
-        key = (op, a, b)
-        node = self.unique.get(key)
-        if node is None:
-            node = self.unique[key] = len(self.nodes)
-            self.nodes.append(key)
-            self.least.append(min(self.least[a], self.least[b]))
-            if op == "not":
-                self.negations[a] = node
-        return node
-
-    def build(self, phi, index):
-        """The node of phi, feature names numbered by index; Implies desugars."""
-        made = []  # the nodes of the subformulas finished so far, in post-order
-        work = [phi]
-        while work:
-            item = work.pop()
-            kind = type(item)
-            if kind is str:  # a connective whose operands are on top of `made`
-                b = made.pop()
-                a = b if item == "not" else made.pop()
-                if item == "implies":
-                    item, a = "or", self.make("not", a, a)
-                made.append(self.make(item, a, b))
-            elif kind is Atom:
-                made.append(2 + index[item.name])
-            elif kind is Not:
-                work += ("not", item.arg)
-            elif kind in _BINARY:
-                work += (_BINARY[kind], item.right, item.left)
-            elif kind in (TrueExp, FalseExp):
-                made.append(_TRUE if kind is TrueExp else _FALSE)
-            else:
-                raise TypeError(f"not a feature expression: {item!r}")
-        return made[0]
-
-    def cofactor(self, root):
-        """The cofactors of root on its least feature x, visiting only what mentions x."""
-        nodes, least, memo = self.nodes, self.least, self.cofactors
-        x = least[root]
-        work = [root]
-        while work:
-            node = work.pop()
-            if node < 0:  # the cofactors of its children that mention x are built
-                op, a, b = nodes[~node]
-                a1, a0 = memo[a] if least[a] == x else (a, a)
-                b1, b0 = memo[b] if least[b] == x else (b, b)
-                memo[~node] = (self.make(op, a1, b1), self.make(op, a0, b0))
-            elif node not in memo:
-                _, a, b = nodes[node]
-                work.append(~node)
-                if least[a] == x:
-                    work.append(a)
-                if b != a and least[b] == x:
-                    work.append(b)
-        return memo[root]
-
-
-def _residuals_of(*phis):
-    """A residual DAG over the features the formulas mention, and their nodes."""
-    names = features_of(fold_balanced(phis, And))
-    dag = _Residuals(len(names))
-    index = dict(zip(names, range(len(names))))
-    return dag, *(dag.build(phi, index) for phi in phis)
-
-
-def _search(dag, root):
-    """True iff some path of cofactors leads from root to true, searched depth
-    first, each residual expanded once.  Every expansion and DAG node is
-    charged to _ENUM_BUDGET; overrunning it raises SemanticError."""
-    memo, seen, stack = dag.cofactors, {_FALSE}, [root]
-    while stack:
-        node = stack.pop()
-        if node == _TRUE:
-            return True
-        if node not in seen:
-            seen.add(node)
-            stack += reversed(memo.get(node) or dag.cofactor(node))  # hi on top
-            if len(seen) + len(dag.nodes) > _ENUM_BUDGET:
-                raise SemanticError("satisfiability search exceeded its budget")
-    return False
-
-
 _LEAF = 1 << 62  # the level of the constants, past every feature
 
 
@@ -666,7 +546,6 @@ class _Diagram:
         self.memo = ({}, {})  # per apply op: (a, b) -> node
         self.negations = {}
         self.message = message
-        self.limit = _ENUM_BUDGET
 
     def node(self, v, hi, lo):
         if hi == lo:
@@ -675,7 +554,7 @@ class _Diagram:
         k = self.unique.get(key)
         if k is None:
             k = self.unique[key] = len(self.nodes)
-            if k > self.limit:
+            if k > _ENUM_BUDGET:
                 raise SemanticError(self.message)
             self.nodes.append(key)
         return k
@@ -687,18 +566,15 @@ class _Diagram:
         while work:
             a, b = work.pop()
             if a < 0:  # the results of (~a, b)'s hi and lo pairs are on top of `made`
-                a = ~a
                 lo, hi = made.pop(), made.pop()
-                v = min(nodes[a][0], nodes[b][0])
-                k = memo[a, b] = hi if hi == lo else unique.get((v, hi, lo)) or self.node(v, hi, lo)
+                v = min(nodes[~a][0], nodes[b][0])
+                k = memo[~a, b] = hi if hi == lo else unique.get((v, hi, lo)) or self.node(v, hi, lo)
                 made.append(k)
                 continue
             if a > b:
                 a, b = b, a
-            if a <= _TRUE:  # and drops true, or drops false
+            if a <= _TRUE or a == b:  # a constant absorbs or drops out; a & a = a | a = a
                 made.append(op if a == op else b)
-            elif a == b:
-                made.append(a)
             elif (a, b) in memo:
                 made.append(memo[a, b])
             else:
@@ -716,11 +592,10 @@ class _Diagram:
         made, work = [], [a]
         while work:
             a = work.pop()
-            if a < 0:
-                a = ~a
+            if a < 0:  # the negations of ~a's hi and lo are on top of `made`
                 lo, hi = made.pop(), made.pop()
-                k = memo[a] = self.node(nodes[a][0], hi, lo)
-                memo[k] = a
+                k = self.node(nodes[~a][0], hi, lo)
+                memo[~a], memo[k] = k, ~a
                 made.append(k)
             elif a <= _TRUE:
                 made.append(_TRUE - a)
@@ -775,11 +650,11 @@ def valid_configs(fm):
     A&B, then A&!B, then !A&B: descending order of codes (Universe).
 
     Enumeration walks the assignment tree depth-first on an explicit stack,
-    carrying the residual: the model with the features assigned so far
-    substituted and simplified, a node of a hash-consed DAG whose cofactors
-    are built once each.  A false residual prunes its subtree.  A true one
-    emits its block of completions as a range of codes, charged to
-    _ENUM_BUDGET (as is every step) before it is built; overrunning the
+    carrying a node of the model's decision diagram: at depth i a node that
+    tests feature i leads to its hi and lo children, any other node to
+    itself twice (feature i is free).  False prunes its subtree.  True emits
+    its block of completions as a range of codes, charged to _ENUM_BUDGET (as
+    is every step and every diagram node) before it is built; overrunning the
     budget raises SemanticError.  A feature's mask is assembled from runs of
     bytes: ones over each subtree in which it is true, and a periodic
     pattern over each block in which it is free.

@@ -528,19 +528,22 @@ def match_renamed_configs(abstracted_info, rewritten_configs):
     Rewritten configurations are total valuations of the abstract feature
     space, so each corresponds to exactly one named abstract configuration;
     this realizes the paper's match-by-renamed-equivalence deterministically.
+    Both sides are keyed by their enabled features, as codes in the abstract
+    space's order; spaces of different features match nothing.
     """
-    valuations = abstracted_info.configs.valuations  # built on read
-    position = {}
-    for i, config in enumerate(valuations):
-        position.setdefault(frozenset(config.as_dict().items()), i)
+    abstract, names = abstracted_info.configs, abstracted_info.configs.space.features
+    own = rewritten_configs.space.features
+    codes = rewritten_configs.per_member(rewritten_configs.universe.codes, None)
+    keys = abstract.per_member(abstract.universe.codes, None) if set(own) == set(names) else ()
+    position = dict(zip(keys, range(len(keys))))  # a concrete set's codes are distinct
+    if keys and own != names:  # read each code's bits in the abstract order
+        n, bits = len(own), [1 << len(names) - 1 - names.index(f) for f in own]
+        codes = [sum(b for k, b in enumerate(bits) if c >> n - 1 - k & 1) for c in codes]
     try:
-        mapping = [
-            position[frozenset(config.as_dict().items())]
-            for config in rewritten_configs.valuations
-        ]
+        mapping = list(map(position.__getitem__, codes))
     except KeyError:
         raise SemanticError("rewritten configuration has no abstract counterpart") from None
-    if len(set(mapping)) != len(valuations):
+    if len(set(mapping)) != len(abstract):
         raise SemanticError("rewritten configurations do not cover the abstract set")
     return mapping
 

@@ -23,14 +23,20 @@ begin
 end
 """
 
-# x := 0, then one `#if (Ai) { x := x + 1 }` per feature: 2048 configurations,
-# and x counts the enabled features, so 12 distinct stores
-CHAIN_FEATURES = [f"A{i}" for i in range(1, 12)]
-CHAIN_SOURCE = (
-    f"features {', '.join(CHAIN_FEATURES)};\nmodel true;\nbegin\n  x := 0; "
-    + "; ".join(f"#if ({name}) {{ x := x + 1 }}" for name in CHAIN_FEATURES)
-    + "\nend\n"
-)
+
+def chain_source(n):
+    """x := 0, then one `#if (Ai) { x := x + 1 }` per feature A1..An, model
+    true: x counts the enabled features."""
+    names = [f"A{i}" for i in range(1, n + 1)]
+    return (
+        f"features {', '.join(names)};\nmodel true;\nbegin\n  x := 0; "
+        + "; ".join(f"#if ({name}) {{ x := x + 1 }}" for name in names)
+        + "\nend\n"
+    )
+
+
+# 2048 configurations and 12 distinct stores
+CHAIN_SOURCE = chain_source(11)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from liftcal.errors import LiftcalError, ParseError, SemanticError, UndeclaredFe
 from liftcal.oracle import CaseGen, gen_featexp, gen_random_abstraction, gen_random_program
 from liftcal.reconfig import reconfigure
 
-from conftest import CHAIN_SOURCE
+from conftest import CHAIN_SOURCE, chain_source
 
 AB = fx.FeatureSpace(("A", "B"))
 ABC = fx.FeatureSpace(("A", "B", "C"))
@@ -181,14 +181,14 @@ def test_sat_and_equiv_on_a_deep_formula():
     assert fx.entails(phi, fx.parse_featexp("F0 | !F3"))  # the first clause
 
 
-def test_a_formula_and_its_negation_fold_in_the_residual_dag():
+def test_a_formula_and_its_negation_fold_in_the_diagram():
     names = [f"F{i}" for i in range(20)]
     text = " & ".join(f"({names[i % 20]} | !{names[(7 * i + 3) % 20]})" for i in range(5000))
-    phi, psi = fx.parse_featexp(text), fx.parse_featexp(text)  # two parses, one root
-    dag, root = fx._residuals_of(phi & ~psi)
-    assert root == fx._FALSE
-    assert fx._residuals_of(phi | ~psi)[1] == fx._TRUE
-    # without the fold, the search for a model took over a second
+    phi, psi = fx.parse_featexp(text), fx.parse_featexp(text)  # two parses, one node
+    a, b, both, either = fx._decide(phi, psi, phi & ~psi, phi | ~psi)
+    assert a == b not in (fx._FALSE, fx._TRUE)
+    assert (both, either) == (fx._FALSE, fx._TRUE)
+    # a search for a model that does not fold them took over a second
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
@@ -198,7 +198,7 @@ def test_a_formula_and_its_negation_fold_in_the_residual_dag():
 
 
 def reference_sat(phi):
-    """The enumerating sat that the residual search replaced: features forced
+    """An enumerating sat, independent of the decision diagram: features forced
     by top-level literal conjuncts are fixed, the rest enumerated."""
 
     def forced_literals(node, forced):
@@ -370,6 +370,26 @@ def test_valid_configs_needs_no_recursion_per_feature():
     assert [c.values.index(True) for c in configs.valuations] == list(range(1024))
 
 
+def test_the_exactly_one_model_of_a_rewritten_fignore_family_has_a_linear_diagram():
+    # fignore(A1) on the n-feature chain names its m = 2^(n-1) components by
+    # fresh features, and the rewritten model says exactly one of them is on
+    for n in range(5, 10):
+        program = lang.parse_program(chain_source(n))
+        alpha = ab.parse_abstraction("fignore(A1)", program.feature_model.space)
+        model = reconfigure(program, alpha)[0].feature_model
+        m = 1 << n - 1
+        assert len(model.space) == m
+        dag = fx._Diagram("")
+        root = dag.build(model.psi, {name: i for i, name in enumerate(model.space.features)})
+        reached, work = set(), [root]
+        while work:
+            node = work.pop()
+            if node not in reached and node not in (fx._FALSE, fx._TRUE):
+                reached.add(node)
+                work += dag.nodes[node][1:]
+        assert len(reached) == 2 * m - 1, n
+
+
 def test_valid_configs_budget():
     space = fx.FeatureSpace(tuple(f"F{i}" for i in range(22)))
     with pytest.raises(SemanticError, match="^configuration enumeration exceeded its budget$"):
@@ -402,37 +422,24 @@ def test_config_sets_are_identified_by_configurations():
 
 
 def reference_valid_configs(fm):
-    """The enumeration valid_configs replaced: the same residual walk, but each
-    true residual's completions are built one Config at a time, and the
+    """The configurations of the model by brute force: the full product in
+    canonical order, filtered by evaluation, built one Config at a time; the
     universe's feature masks and the set's covers come from those Configs.
+    The walk is charged to _ENUM_BUDGET as valid_configs charges `model
+    true`, a step for the root and one per configuration of the product,
+    before any is built.
 
     Returns (valuations, feature name -> mask, covers).
     """
     space = fm.space
     n = len(space)
-    dag = fx._Residuals(n)
-    root = dag.build(fm.psi, {name: i for i, name in enumerate(space.features)})
-    least, memo = dag.least, dag.cofactors
-    configs = []
-    budget = fx._ENUM_BUDGET - 1
-    path = [True] * n
-    stack = [(0, root, True)] if root != fx._FALSE else []
-    while stack:
-        i, node, value = stack.pop()
-        if i:
-            path[i - 1] = value
-        budget -= (1 << (n - i)) if node == fx._TRUE else 2
-        if budget < 0:
-            raise SemanticError("configuration enumeration exceeded its budget")
-        if node == fx._TRUE:
-            prefix, rests = tuple(path[:i]), cartesian((True, False), repeat=n - i)
-            configs += [fx.Config(space, prefix + rest) for rest in rests]
-            continue
-        hi, lo = (node, node) if least[node] > i else memo.get(node) or dag.cofactor(node)
-        if lo != fx._FALSE:
-            stack.append((i + 1, lo, False))
-        if hi != fx._FALSE:
-            stack.append((i + 1, hi, True))
+    if 1 + (1 << n) > fx._ENUM_BUDGET:
+        raise SemanticError("configuration enumeration exceeded its budget")
+    configs = [
+        fx.Config(space, values)
+        for values in cartesian((True, False), repeat=n)
+        if fx.eval_featexp(fm.psi, dict(zip(space.features, values)))
+    ]
     masks = {
         name: sum(1 << i for i, config in enumerate(configs) if config.values[k])
         for k, name in enumerate(space.features)
@@ -512,8 +519,12 @@ def diagram_models():
         yield fx.FeatureModel(space, fx.And(phi, fx.Not(phi)) if rng.random() < 0.1 else phi)
 
 
-def residual_sat(phi):
-    return fx._search(*fx._residuals_of(phi))
+def product_masks(names):
+    """Per feature, the mask of the full product's configurations enabling
+    it, bit j standing for the j-th in canonical order (true before false)."""
+    n = len(names)
+    return {name: int(("0" * (1 << n - 1 - k) + "1" * (1 << n - 1 - k)) * (1 << k), 2)
+            for k, name in enumerate(names)}
 
 
 def test_the_decision_diagram_equals_the_reference():
@@ -529,15 +540,21 @@ def test_the_decision_diagram_equals_the_reference():
         assert {name: configs.universe.feature_mask(name) for name in names} == masks
         assert configs.covers == covers
         assert configs.hint is phi
+        # decisions against the models of each formula over the full product
+        product, full = product_masks(names), (1 << (1 << len(names))) - 1
+
+        def models(f):
+            return fx.mask_of(f, product.__getitem__, full)
+
         theta = random_formula(rng, names, 3) if names else fx.TRUE
         absorbed = fx.Or(phi, fx.And(phi, theta))  # equivalent to phi
-        assert fx.sat(phi) == residual_sat(phi) == bool(valuations), fx.render(phi)
-        assert fx.valid(phi) == (not residual_sat(fx.Not(phi)))
+        assert fx.sat(phi) == (models(phi) != 0) == bool(valuations), fx.render(phi)
+        assert fx.valid(phi) == (models(phi) == full)
         for left, right in ((phi, theta), (theta, phi), (phi, absorbed)):
-            entails = not residual_sat(fx.And(left, fx.Not(right)))
-            assert fx.entails(left, right) == entails, (fx.render(left), fx.render(right))
-            equiv = entails and not residual_sat(fx.And(right, fx.Not(left)))
-            assert fx.equiv(left, right) == equiv, (fx.render(left), fx.render(right))
+            want = models(left) & ~models(right) == 0
+            assert fx.entails(left, right) == want, (fx.render(left), fx.render(right))
+            want = models(left) == models(right)
+            assert fx.equiv(left, right) == want, (fx.render(left), fx.render(right))
         text = fx.render(phi)
         seen["unsatisfiable"] += not valuations
         seen["implies"] += "=>" in text

@@ -1,5 +1,6 @@
 """The source-to-source reconfigurator and its commutation with the analysis."""
 
+import random
 from functools import partial
 
 import pytest
@@ -331,3 +332,67 @@ def test_fignore_rewrite_builds_ifdefs_in_proportion_to_its_output(monkeypatch):
     monkeypatch.undo()
     assert sum(isinstance(s, lang.IfDef) for s in flat_stmts(out)) == 6
     assert len(built) <= 2 * 6
+
+
+def reference_match(abstracted_info, rewritten_configs):
+    """The match by Config valuations that match_renamed_configs replaced."""
+    valuations = abstracted_info.configs.valuations
+    position = {}
+    for i, config in enumerate(valuations):
+        position.setdefault(frozenset(config.as_dict().items()), i)
+    try:
+        mapping = [position[frozenset(c.as_dict().items())] for c in rewritten_configs.valuations]
+    except KeyError:
+        raise SemanticError("rewritten configuration has no abstract counterpart") from None
+    if len(set(mapping)) != len(valuations):
+        raise SemanticError("rewritten configurations do not cover the abstract set")
+    return mapping
+
+
+def named_set(names, text):
+    space = fx.FeatureSpace(tuple(names))
+    configs = fx.valid_configs(fx.FeatureModel(space, fx.parse_featexp(text, space)))
+    return ab.AbstractedConfigs(space=space, configs=configs, meaning_view=configs)
+
+
+def match_outcome(match, info, configs):
+    try:
+        return match(info, configs)
+    except SemanticError as exc:
+        return str(exc)
+
+
+def test_match_of_spaces_with_other_features_or_uncovered_sets():
+    info = named_set("AB", "A | B")
+    other = named_set("AC", "A | C").configs
+    assert match_outcome(match_renamed_configs, info, other) == (
+        "rewritten configuration has no abstract counterpart")
+    empty = named_set("AC", "false").configs
+    assert match_outcome(match_renamed_configs, info, empty) == (
+        "rewritten configurations do not cover the abstract set")
+    uncovered = named_set("BA", "A & B").configs
+    assert match_outcome(match_renamed_configs, info, uncovered) == (
+        "rewritten configurations do not cover the abstract set")
+    # the same features in another order: keyed by enabled features, not bits
+    assert match_renamed_configs(info, named_set("BA", "A | B").configs) == [0, 2, 1]
+
+
+def test_match_equals_the_match_by_valuations():
+    rng = random.Random(4)
+    names = "ABCD"
+    seen = set()
+    for _ in range(400):
+        texts = [rng.choice(["true", "false", "A | B", "!A", "A & !C", "B => C", "C | D",
+                             "A & B & C", "!(B | D)"]) for _ in range(2)]
+        spaces = []
+        for text in texts:
+            needed = [f for f in names if f in text]
+            extra = [f for f in names if f not in needed and rng.random() < 0.4]
+            space = needed + extra
+            rng.shuffle(space)
+            spaces.append(space)
+        info, configs = named_set(spaces[0], texts[0]), named_set(spaces[1], texts[1]).configs
+        want = match_outcome(reference_match, info, configs)
+        assert match_outcome(match_renamed_configs, info, configs) == want, (spaces, texts)
+        seen.add(want if type(want) is str else "match")
+    assert len(seen) == 3, seen
